@@ -23,14 +23,12 @@ from .heuristics import (
     HeuristicConfig,
     ProbeAccumulator,
     t_critical,
-    write_activity_csv,
 )
 from .search import (
     RestartController,
     RestartPolicy,
     SearchStats,
     Status,
-    branch_and_bound,
     probe_activities,
     solve,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "Status",
     "Trail",
     "VarId",
-    "branch_and_bound",
     "build_knapsack_cop",
     "build_knapsack_csp",
     "build_magic_square",
@@ -88,5 +85,4 @@ __all__ = [
     "probe_activities",
     "solve",
     "t_critical",
-    "write_activity_csv",
 ]

@@ -11,6 +11,7 @@ Timed-out runs contribute the configured timeout to the time aggregates;
 from __future__ import annotations
 
 import argparse
+import csv
 import io
 import os
 import statistics
@@ -135,8 +136,7 @@ def _worker(args: tuple) -> dict:
 
 
 def _thread_budget(config: RunConfig) -> int:
-    env = os.environ.get("BENCH_THREADS")
-    cap = int(env) if env else (os.cpu_count() or 1)
+    cap = os.cpu_count() or 1
     if config.threads is not None:
         cap = min(cap, config.threads)
     return max(1, min(cap, config.runs))
@@ -188,24 +188,18 @@ def run_experiment(config: RunConfig) -> RunRecord:
     return RunRecord(config, rows, aggregate_rows(rows, config.timeout))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def write_rows(out: io.TextIOBase, record: RunRecord, prefix: dict | None = None) -> None:
-    prefix = prefix or {}
+    # csv writes floats as repr and None as an empty cell
+    writer = csv.writer(out, lineterminator="\n")
+    lead = list((prefix or {}).values())
     for row in record.rows:
-        cells = [_fmt(v) for v in prefix.values()]
-        cells += [_fmt(row.get(c)) for c in RUN_COLUMNS[:-1]] + ["0"]
-        cells += [""] * len(AGG_COLUMNS)
-        out.write(",".join(cells) + "\n")
+        writer.writerow(
+            lead + [row.get(c) for c in RUN_COLUMNS[:-1]] + [0] + [None] * len(AGG_COLUMNS)
+        )
     agg = record.aggregate
-    cells = [_fmt(v) for v in prefix.values()]
-    cells += [""] * (len(RUN_COLUMNS) - 1) + ["1"]
-    cells += [_fmt(agg[c]) for c in AGG_COLUMNS]
-    out.write(",".join(cells) + "\n")
+    writer.writerow(
+        lead + [None] * (len(RUN_COLUMNS) - 1) + [1] + [agg[c] for c in AGG_COLUMNS]
+    )
 
 
 def write_csv(out: io.TextIOBase, record: RunRecord) -> None:
@@ -232,13 +226,7 @@ def dump_activities(config: RunConfig) -> list[tuple[int, float]]:
     """Run only the probing phase and return (variable, mean activity) rows,
     excluding variables fixed at the root by singleton consistency."""
     model = build_benchmark(config.bench)
-    hcfg = HeuristicConfig(
-        kind="abs",
-        alpha=config.alpha,
-        gamma=config.gamma,
-        delta=config.delta,
-        value_heuristic=False,
-    )
+    hcfg = heuristic_config(replace(config, heuristic="abs", value_heuristic=False))
     activities, fixed, _stats = probe_activities(
         model, hcfg, seed=config.seed, timeout=config.timeout
     )
@@ -309,10 +297,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     config = _config_from_args(args)
+    values: list[float] = []
     try:
+        if config.runs < 1:
+            raise ValueError("--runs must be at least 1")
+        if not config.timeout > 0:
+            raise ValueError("--timeout must be positive")
         build_benchmark(config.bench)  # fail fast on bad selectors
         parse_restart(config.restart)
         heuristic_config(config)
+        if args.command == "sweep":
+            values = [float(v) for v in args.values.split(",") if v]
+            if not values:
+                raise ValueError("--values must list at least one number")
+            for v in values:
+                heuristic_config(replace(config, **{args.param: v}))
     except (ValueError, OSError) as exc:
         parser.error(str(exc))  # exits with code 2
 
@@ -324,9 +323,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 write_csv(out, record)
                 _summary(record, config)
             elif args.command == "sweep":
-                values = [float(v) for v in args.values.split(",") if v]
-                if not values:
-                    parser.error("--values must list at least one number")
                 records = sweep(args.param, values, config)
                 write_sweep_csv(out, args.param, values, records)
                 for value, record in zip(values, records):

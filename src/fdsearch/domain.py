@@ -74,9 +74,6 @@ class FiniteDomain:
         i = v - self.anchor
         return i >= 0 and (self.mask >> i) & 1 == 1
 
-    def contains(self, v: int) -> bool:
-        return v in self
-
     def values(self) -> Iterator[int]:
         """Iterate present values in ascending order."""
         m = self.mask
@@ -190,9 +187,6 @@ class DomainStore:
         for x, mask in reversed(self.trail.pop_to(k)):
             domains[x]._set_mask(mask)
 
-    def size_snapshot(self) -> list[int]:
-        return [d.size for d in self.domains]
-
     # -- shrinking operations; WOULD_EMPTY always leaves the store untouched --
 
     def remove_value(self, x: VarId, v: int) -> ChangeOutcome:
@@ -266,9 +260,6 @@ class DomainStore:
         for d in self.domains:
             total += _log_of(d.size)
         return total
-
-    def all_bound(self) -> bool:
-        return all(d.size == 1 for d in self.domains)
 
     def assignment(self) -> list[int]:
         """Values of all variables; every domain must be a singleton."""

@@ -59,15 +59,13 @@ class Engine:
         store: DomainStore,
         decision: Optional[tuple[str, int, int]] = None,
         seed_all: bool = False,
-        seed_vars: Sequence[int] = (),
         extra: Sequence[int] = (),
     ) -> PropagationResult:
         """Run to fixpoint from a seed.
 
         ``decision`` is ("eq", x, v) or ("ne", x, v) and is applied to the
         store first; its own domain change counts toward ``affected``.
-        ``seed_all`` schedules every propagator (root propagation);
-        ``seed_vars`` schedules the watchers of given variables; ``extra``
+        ``seed_all`` schedules every propagator (root propagation); ``extra``
         schedules explicit propagator ids (e.g. an objective bound).
         """
         domains = store.domains
@@ -94,8 +92,6 @@ class Engine:
             for p in props:
                 scheduled[p.pid] = 1
                 queue.append(p.pid)
-        for x in seed_vars:
-            sched_var(x)
         for pid in extra:
             if not scheduled[pid]:
                 scheduled[pid] = 1

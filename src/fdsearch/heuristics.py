@@ -7,7 +7,6 @@ trailed, so learned statistics persist across backtracks and restarts.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -32,19 +31,31 @@ def t_critical(df: int) -> float:
     return 1.960
 
 
+# Activity probing: at least _MIN_PROBES probes (the CI needs >= 2), at most
+# _PROBE_CAP; variables with mean activity <= _MEAN_EPSILON are exempt from
+# the CI test.
+_MIN_PROBES = 10
+_PROBE_CAP = 1000
+_MEAN_EPSILON = 1e-6
+
+
 @dataclass
 class HeuristicConfig:
-    """Knobs shared by the three heuristics (defaults match the benchmark
-    harness defaults: alpha=8, gamma=0.999, delta=0.2)."""
+    """Knobs shared by the three heuristics; the defaults match the
+    benchmark harness defaults.
 
-    kind: str = "abs"  # "abs" | "ibs" | "wdeg"
+    ``kind`` is "abs", "ibs" or "wdeg"; ``alpha`` (>= 1) weights the
+    running averages of assignment impact and activity; ``gamma`` (in
+    [0, 1]) is the ABS activity decay; ``delta`` (in (0, 1)) is the relative
+    CI half-width at which ABS probing stops; ``value_heuristic`` enables
+    the ABS least-activity value choice (else ascending values).
+    """
+
+    kind: str = "abs"
     alpha: float = 8.0
     gamma: float = 0.999
     delta: float = 0.2
     value_heuristic: bool = True
-    min_probes: int = 10
-    probe_cap: int = 1000
-    mean_epsilon: float = 1e-6
 
     def __post_init__(self) -> None:
         if self.kind not in ("abs", "ibs", "wdeg"):
@@ -55,8 +66,6 @@ class HeuristicConfig:
             raise ValueError("gamma must be in [0, 1]")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        if self.min_probes < 2:
-            raise ValueError("min_probes must be >= 2")
 
 
 class ProbeAccumulator:
@@ -101,7 +110,7 @@ class ProbeAccumulator:
             return 0.0
         return math.sqrt(self.m2[x] / (self.count - 1))
 
-    def max_halfwidth_ratio(self, mean_epsilon: float = 1e-6) -> float:
+    def max_halfwidth_ratio(self, mean_epsilon: float = _MEAN_EPSILON) -> float:
         """max over variables of t * stddev / (sqrt(n) * mean); variables
         with mean <= mean_epsilon are exempt (a relative band around 0 is
         unattainable)."""
@@ -120,7 +129,9 @@ class ProbeAccumulator:
                 worst = ratio
         return worst
 
-    def should_stop(self, delta: float, min_probes: int, mean_epsilon: float = 1e-6) -> bool:
+    def should_stop(
+        self, delta: float, min_probes: int, mean_epsilon: float = _MEAN_EPSILON
+    ) -> bool:
         if self.count < min_probes:
             return False
         return self.max_halfwidth_ratio(mean_epsilon) <= delta
@@ -276,7 +287,7 @@ class ActivitySearch(SearchHeuristic):
         stop = False
         if all(store.domains[x].size == 1 for x in branch_vars):
             stop = True  # nothing to probe
-        while not stop and acc.count < cfg.probe_cap:
+        while not stop and acc.count < _PROBE_CAP:
             solver.check_deadline()
             vector = [0] * nvars
             decisions: list[tuple[tuple[int, int], int]] = []
@@ -310,7 +321,7 @@ class ActivitySearch(SearchHeuristic):
                     solver.stats.probes += acc.count + 1
                     return False
             acc.fold(vector, decisions)
-            if acc.should_stop(cfg.delta, cfg.min_probes, cfg.mean_epsilon):
+            if acc.should_stop(cfg.delta, _MIN_PROBES):
                 break
         self.activity = list(acc.mean)
         if self.assignment_activity is not None:
@@ -371,25 +382,14 @@ class WeightedDegreeSearch(SearchHeuristic):
             for x in p.scope:
                 self._var_props[x].append(p.pid)
 
-    def variable_ratio(self, x: int, store: DomainStore) -> float:
-        """|D(x)| / wdeg(x) over constraints with >1 uninstantiated variable;
-        +inf when no constraint qualifies."""
+    def _ratios(self, xs: Sequence[int], store: DomainStore) -> list[float]:
+        """|D(x)| / wdeg(x) for each x in ``xs``, where wdeg sums the weights
+        of x's constraints with >1 uninstantiated variable; +inf when no
+        constraint qualifies."""
         domains = store.domains
-        wdeg = 0
-        for pid in self._var_props[x]:
-            future = sum(
-                1 for y in self.model.propagators[pid].scope if domains[y].size > 1
-            )
-            if future > 1:
-                wdeg += self.weights[pid]
-        return domains[x].size / wdeg if wdeg else math.inf
-
-    def select_variable(self, free, store):
-        domains = store.domains
-        props = self.model.propagators
         weights = self.weights
-        future_counts = [0] * len(props)
-        for p in props:
+        future_counts = [0] * len(weights)
+        for p in self.model.propagators:
             cnt = 0
             for y in p.scope:
                 if domains[y].size > 1:
@@ -398,13 +398,20 @@ class WeightedDegreeSearch(SearchHeuristic):
                         break
             future_counts[p.pid] = cnt
         scores = []
-        for x in free:
+        for x in xs:
             wdeg = 0
             for pid in self._var_props[x]:
                 if future_counts[pid] > 1:
                     wdeg += weights[pid]
             scores.append(domains[x].size / wdeg if wdeg else math.inf)
-        return _argbest(free, scores, self.rng, largest=False)
+        return scores
+
+    def variable_ratio(self, x: int, store: DomainStore) -> float:
+        """The branching score of x (smaller branches first)."""
+        return self._ratios((x,), store)[0]
+
+    def select_variable(self, free, store):
+        return _argbest(free, self._ratios(free, store), self.rng, largest=False)
 
     def select_value(self, x, store):
         return store.domains[x].min
@@ -423,11 +430,3 @@ def build_heuristic(model: Model, config: HeuristicConfig, rng) -> SearchHeurist
     }[config.kind]
     return cls(model, config, rng)
 
-
-def write_activity_csv(path, rows: Sequence[tuple[int, float]]) -> None:
-    """Serialize (VarId, activity) pairs for activity-distribution analysis."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["var", "activity"])
-        for var, act in rows:
-            writer.writerow([var, f"{act:.9g}"])

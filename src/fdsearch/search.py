@@ -16,7 +16,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .domain import WOULD_EMPTY
 from .engine import Engine, PropagationResult
 from .heuristics import ActivitySearch, HeuristicConfig, build_heuristic
 from .model import Model
@@ -141,13 +140,12 @@ class _Solver:
 
     # -- services used by heuristics during initialization --
 
-    def propagate(self, decision=None, seed_all=False, seed_vars=()) -> PropagationResult:
+    def propagate(self, decision=None, seed_all=False) -> PropagationResult:
         self._ticks += 1
         if self._ticks & 255 == 0:
             self.check_deadline()
         return self.engine.propagate(
-            self.store, decision, seed_all=seed_all, seed_vars=seed_vars,
-            extra=self._extra,
+            self.store, decision, seed_all=seed_all, extra=self._extra
         )
 
     def check_deadline(self) -> None:
@@ -159,9 +157,7 @@ class _Solver:
         False when this proves root infeasibility."""
         if self.store.level != 0:
             raise RuntimeError("shaving is only valid at the root")
-        if self.store.remove_value(x, v) is WOULD_EMPTY:
-            return False
-        return self.propagate(seed_vars=(x,)).ok
+        return self.propagate(("ne", x, v)).ok
 
     def note_probe_solution(self) -> bool:
         """A probe reached a leaf; record it.  Returns True when probing
@@ -340,13 +336,6 @@ def solve(
         model, config, restart, seed, timeout, max_failures, all_solutions
     )
     return solver.run()
-
-
-def branch_and_bound(model: Model, heuristic="abs", **kwargs) -> SearchStats:
-    """Optimize a model with an objective (thin wrapper over ``solve``)."""
-    if model.objective is None:
-        raise ValueError("branch_and_bound requires a model with an objective")
-    return solve(model, heuristic, **kwargs)
 
 
 def probe_activities(

@@ -71,10 +71,8 @@ class TestRunExperiment:
         strip = lambda row: {k: v for k, v in row.items() if k != "time_s"}
         assert [strip(r) for r in a.rows] == [strip(r) for r in b.rows]
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        monkeypatch.setenv("BENCH_THREADS", "2")
+    def test_thread_count_does_not_change_results(self):
         a = run_experiment(small_config(threads=2))
-        monkeypatch.setenv("BENCH_THREADS", "1")
         b = run_experiment(small_config(threads=1))
         strip = lambda row: {k: v for k, v in row.items() if k != "time_s"}
         assert [strip(r) for r in a.rows] == [strip(r) for r in b.rows]
@@ -181,15 +179,40 @@ class TestCli:
         assert code == 0
         assert "timeout" in out.read_text()
 
-    def test_usage_error_exit_code_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--bench", "nope:1", "--runs", "1"])
-        assert exc.value.code == 2
+    def test_usage_error_exit_code_two(self, tmp_path):
+        out = tmp_path / "never.csv"
+        for argv in (
+            ["run", "--bench", "nope:1", "--runs", "1"],
+            ["run", "--bench", "msq:4", "--runs", "0"],
+            ["run", "--bench", "msq:4", "--runs", "-3"],
+            ["run", "--bench", "msq:4", "--timeout", "-1"],
+            ["run", "--bench", "msq:4", "--timeout", "0"],
+            ["sweep", "--param", "delta", "--values", "0.2", "--bench", "msq:4",
+             "--runs", "0"],
+            ["activities", "--bench", "msq:4", "--timeout", "0"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(out)])
+            assert exc.value.code == 2, argv
+            assert not out.exists(), argv  # rejected before any solve
 
     def test_bad_restart_exit_code_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--bench", "msq:4", "--restart", "sometimes"])
         assert exc.value.code == 2
+
+    def test_sweep_bad_values_exit_code_two(self, tmp_path):
+        out = tmp_path / "never.csv"
+        for param, values in (
+            ("delta", "0.2,abc"), ("delta", "0.2,1.5"), ("gamma", "0.5,-1"), ("delta", ","),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([
+                    "sweep", "--param", param, "--values", values, "--bench", "msq:4",
+                    "--runs", "1", "--threads", "1", "--out", str(out),
+                ])
+            assert exc.value.code == 2, values
+            assert not out.exists(), values  # no block ran
 
     def test_sweep_csv_has_param_columns(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -3,9 +3,11 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdsearch import (
     AllDifferent,
+    Engine,
     HeuristicConfig,
     LinearEq,
     LinearLeq,
@@ -249,6 +251,44 @@ class TestWdeg:
         stats = solver.run()
         assert stats.restarts > 0
         assert sum(solver.heuristic.weights) == len(m.propagators) + stats.failures
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        moves=st.lists(st.tuples(st.integers(0, 24), st.integers(0, 24)), max_size=12),
+        bumps=st.lists(st.integers(0, 10**6), max_size=20),
+        seed=st.integers(0, 2**16),
+    )
+    def test_select_variable_minimises_variable_ratio(self, moves, bumps, seed):
+        # a mid-search msq:5 store: random decisions, whose failures bump
+        # weights, plus random extra failures of any constraint
+        m = build_magic_square(5)
+        heur = WeightedDegreeSearch(m, HeuristicConfig(kind="wdeg"), random.Random(seed))
+        engine = Engine(m.num_vars, m.propagators)
+        store = m.new_store()
+        assert engine.propagate(store, seed_all=True).ok
+        for b in bumps:
+            failed = PropagationResult(b % len(heur.weights), [])
+            heur.on_search_fixpoint("eq", 0, 1, failed, store, 0.0)
+        for i, j in moves:
+            free = [x for x in m.branch_vars if store.domains[x].size > 1]
+            if not free:
+                break
+            x = free[i % len(free)]
+            values = list(store.domains[x].values())
+            v = values[j % len(values)]
+            level = store.push_level()
+            res = engine.propagate(store, ("eq", x, v))
+            heur.on_search_fixpoint("eq", x, v, res, store, 0.0)
+            if not res.ok:
+                store.restore_to(level)
+        free = [x for x in m.branch_vars if store.domains[x].size > 1]
+        if not free:
+            return
+        best = min(heur.variable_ratio(x, store) for x in free)
+        for _ in range(5):  # ties are broken at random
+            chosen = heur.select_variable(free, store)
+            assert chosen in free
+            assert heur.variable_ratio(chosen, store) == best
 
 
 class TestActivityFormulas:
