@@ -17,7 +17,7 @@ import os
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -224,12 +224,15 @@ def write_sweep_csv(
 
 def dump_activities(config: RunConfig) -> list[tuple[int, float]]:
     """Run only the probing phase and return (variable, mean activity) rows,
-    excluding variables fixed at the root by singleton consistency."""
+    excluding variables fixed at the root by singleton consistency.  Raises
+    TimeoutError when probing does not finish within ``config.timeout``."""
     model = build_benchmark(config.bench)
     hcfg = heuristic_config(replace(config, heuristic="abs", value_heuristic=False))
-    activities, fixed, _stats = probe_activities(
+    activities, fixed, stats = probe_activities(
         model, hcfg, seed=config.seed, timeout=config.timeout
     )
+    if stats.status is Status.TIMED_OUT:
+        raise TimeoutError("probing timed out")
     if activities is None:
         return []
     return [
@@ -241,34 +244,12 @@ def dump_activities(config: RunConfig) -> list[tuple[int, float]]:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """The flags every subcommand takes."""
     parser.add_argument("--bench", required=True, help="msq:N | knap-csp:ID | knap-cop:ID")
-    parser.add_argument("--heur", default="abs", choices=("abs", "ibs", "wdeg"))
-    parser.add_argument("--restart", default="nr", help="nr or geo:RHO")
-    parser.add_argument("--alpha", type=float, default=8.0)
-    parser.add_argument("--gamma", type=float, default=0.999)
-    parser.add_argument("--delta", type=float, default=0.2)
-    parser.add_argument("--no-value-heur", action="store_true")
-    parser.add_argument("--runs", type=int, default=50)
-    parser.add_argument("--timeout", type=float, default=300.0)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--delta", type=float)
+    parser.add_argument("--timeout", type=float)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", default=None, help="CSV output path (default stdout)")
-
-
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        bench=args.bench,
-        heuristic=args.heur,
-        restart=args.restart,
-        alpha=args.alpha,
-        gamma=args.gamma,
-        delta=args.delta,
-        value_heuristic=not args.no_value_heur,
-        runs=args.runs,
-        timeout=args.timeout,
-        seed=args.seed,
-        threads=args.threads,
-    )
 
 
 def _open_out(path: Optional[str]):
@@ -283,20 +264,32 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Benchmark harness for the finite-domain solver",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one experiment")
-    _add_common(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="parameter sensitivity sweep")
-    _add_common(p_sweep)
+    # an option left off the command line is absent from the parsed
+    # namespace, so RunConfig holds the only defaults
+    unset = argparse.SUPPRESS
+    p_run = sub.add_parser("run", help="run one experiment", argument_default=unset)
+    p_sweep = sub.add_parser(
+        "sweep", help="parameter sensitivity sweep", argument_default=unset
+    )
+    p_act = sub.add_parser(
+        "activities", help="dump root activity levels", argument_default=unset
+    )
+    for p in (p_run, p_sweep, p_act):
+        _add_common(p)
+    for p in (p_run, p_sweep):  # activities always probes with ABS, no value heuristic
+        p.add_argument("--heur", dest="heuristic", choices=("abs", "ibs", "wdeg"))
+        p.add_argument("--restart", help="nr or geo:RHO")
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--gamma", type=float)
+        p.add_argument("--no-value-heur", dest="value_heuristic", action="store_false")
+        p.add_argument("--runs", type=int)
+        p.add_argument("--threads", type=int)
     p_sweep.add_argument("--param", required=True, choices=("delta", "gamma"))
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
 
-    p_act = sub.add_parser("activities", help="dump root activity levels")
-    _add_common(p_act)
-
     args = parser.parse_args(argv)
-    config = _config_from_args(args)
+    names = {f.name for f in fields(RunConfig)}
+    config = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
     values: list[float] = []
     try:
         if config.runs < 1:
@@ -315,7 +308,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         parser.error(str(exc))  # exits with code 2
 
-    try:
+    try:  # TimeoutError is an OSError: a timed-out probe phase exits 1
+        if args.command == "activities":
+            rows = dump_activities(config)  # before --out opens: no file on failure
         out, close = _open_out(args.out)
         try:
             if args.command == "run":
@@ -328,7 +323,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 for value, record in zip(values, records):
                     _summary(record, config, label=f"{args.param}={value}")
             else:
-                rows = dump_activities(config)
                 out.write("var,activity\n")
                 for var, act in rows:
                     out.write(f"{var},{act:.9g}\n")

@@ -101,20 +101,22 @@ class FiniteDomain:
 
 
 class Trail:
-    """Chronological undo log: per-level segments of (var, old mask) pairs.
+    """Chronological undo log of (var, old mask) pairs.
 
-    A variable is snapshotted at most once per level segment; segments are
-    identified by a monotonically increasing epoch so a re-pushed level
-    never aliases a popped one.
+    The log is cut into segments: a new one starts at each ``push``, each
+    ``pop_to`` and each ``segment`` call.  A variable is logged at most once
+    per segment, when it first shrinks there, so the entries of a segment
+    list exactly the variables it shrank.  A level may span several
+    segments and hold several entries for one variable; replaying them in
+    reverse reinstalls the oldest mask last.
     """
 
-    __slots__ = ("entries", "_marks", "_epochs", "_counter", "_stamps")
+    __slots__ = ("entries", "_marks", "_epoch", "_stamps")
 
     def __init__(self, nvars: int):
         self.entries: list[tuple[int, int]] = []
         self._marks: list[int] = []
-        self._epochs: list[int] = [0]
-        self._counter = 0
+        self._epoch = 0
         self._stamps = [-1] * nvars
 
     @property
@@ -122,15 +124,17 @@ class Trail:
         return len(self._marks)
 
     def record(self, x: int, mask: int) -> None:
-        epoch = self._epochs[-1]
-        if self._stamps[x] != epoch:
-            self._stamps[x] = epoch
+        if self._stamps[x] != self._epoch:
+            self._stamps[x] = self._epoch
             self.entries.append((x, mask))
 
+    def segment(self) -> int:
+        """Start a new segment; returns the index of its first entry."""
+        self._epoch += 1
+        return len(self.entries)
+
     def push(self) -> int:
-        self._counter += 1
-        self._epochs.append(self._counter)
-        self._marks.append(len(self.entries))
+        self._marks.append(self.segment())
         return len(self._marks)
 
     def pop_to(self, k: int) -> list[tuple[int, int]]:
@@ -141,7 +145,7 @@ class Trail:
         undo = self.entries[target:]
         del self.entries[target:]
         del self._marks[k - 1:]
-        del self._epochs[k:]
+        self.segment()
         return undo
 
 

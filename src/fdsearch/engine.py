@@ -1,5 +1,5 @@
 """Fixpoint propagation engine: FIFO queue over propagators, exact
-affected-variable reporting via a domain-size snapshot taken at entry."""
+affected-variable reporting read from the trail segment each call opens."""
 
 from __future__ import annotations
 
@@ -19,8 +19,9 @@ class PropagationResult:
 
     ``failed`` is the id of the propagator that emptied a domain, ``DECISION``
     if the seeding decision did, or None when consistent.  ``affected`` lists
-    exactly the variables whose domain shrank since the call began; on failure
-    it still lists the variables shrunk before the wipeout.
+    exactly the variables whose domain shrank since the call began, each once,
+    in the order they first shrank; on failure it still lists the variables
+    shrunk before the wipeout.
     """
 
     __slots__ = ("failed", "affected")
@@ -46,7 +47,6 @@ class Engine:
     """
 
     def __init__(self, nvars: int, propagators: Sequence[Propagator]):
-        self.nvars = nvars
         self.propagators = list(propagators)
         watchers: list[list[int]] = [[] for _ in range(nvars)]
         for p in self.propagators:
@@ -68,8 +68,8 @@ class Engine:
         ``seed_all`` schedules every propagator (root propagation); ``extra``
         schedules explicit propagator ids (e.g. an objective bound).
         """
-        domains = store.domains
-        sizes0 = [d.size for d in domains]
+        trail = store.trail
+        start = trail.segment()
         props = self.propagators
         watchers = self.watchers
         queue: deque[int] = deque()
@@ -102,12 +102,8 @@ class Engine:
             scheduled[pid] = 0
             changed = props[pid].propagate(store)
             if changed is None:
-                affected = [
-                    x for x in range(self.nvars) if domains[x].size < sizes0[x]
-                ]
-                return PropagationResult(pid, affected)
+                return PropagationResult(pid, [x for x, _ in trail.entries[start:]])
             for x in changed:
                 sched_var(x)
 
-        affected = [x for x in range(self.nvars) if domains[x].size < sizes0[x]]
-        return PropagationResult(None, affected)
+        return PropagationResult(None, [x for x, _ in trail.entries[start:]])

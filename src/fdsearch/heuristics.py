@@ -207,7 +207,6 @@ class ImpactSearch(SearchHeuristic):
                     break
                 if a not in d:
                     continue  # shaved away by an earlier failed probe
-                solver.check_deadline()
                 log_before = store.search_space_log_size()
                 level = store.push_level()
                 res = solver.propagate(("eq", x, a))
@@ -288,7 +287,6 @@ class ActivitySearch(SearchHeuristic):
         if all(store.domains[x].size == 1 for x in branch_vars):
             stop = True  # nothing to probe
         while not stop and acc.count < _PROBE_CAP:
-            solver.check_deadline()
             vector = [0] * nvars
             decisions: list[tuple[tuple[int, int], int]] = []
             base = store.push_level()

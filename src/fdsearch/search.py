@@ -43,8 +43,10 @@ class RestartPolicy:
 
     @classmethod
     def geometric(cls, rho: float, initial_limit: Optional[int] = None) -> "RestartPolicy":
-        if rho <= 1.0:
-            raise ValueError("geometric restart factor must be > 1")
+        if not (math.isfinite(rho) and rho > 1.0):
+            raise ValueError("geometric restart factor must be a finite number > 1")
+        if initial_limit is not None and initial_limit < 1:
+            raise ValueError("initial restart limit must be at least 1")
         return cls(rho=rho, initial_limit=initial_limit)
 
     @property
@@ -92,6 +94,10 @@ class _Timeout(Exception):
     pass
 
 
+class _Restart(Exception):
+    pass
+
+
 class _Solver:
     """One solve call: owns the store, engine, heuristic state and RNG."""
 
@@ -135,22 +141,16 @@ class _Solver:
 
         self._t0 = 0.0
         self._deadline: Optional[float] = None
-        self._ticks = 0
-        self._restart_requested = False
 
     # -- services used by heuristics during initialization --
 
     def propagate(self, decision=None, seed_all=False) -> PropagationResult:
-        self._ticks += 1
-        if self._ticks & 255 == 0:
-            self.check_deadline()
+        """One fixpoint; raises _Timeout instead once the deadline has passed."""
+        if self._deadline is not None and time.perf_counter() >= self._deadline:
+            raise _Timeout
         return self.engine.propagate(
             self.store, decision, seed_all=seed_all, extra=self._extra
         )
-
-    def check_deadline(self) -> None:
-        if self._deadline is not None and time.perf_counter() >= self._deadline:
-            raise _Timeout
 
     def shave_root(self, x: int, v: int) -> bool:
         """Permanently remove a root value that failed singleton probing;
@@ -226,8 +226,9 @@ class _Solver:
 
     def _try_branch(self, kind: str, x: int, v: int, controller) -> bool:
         """Push a level, post the branch, propagate, feed the heuristic.
-        On failure restores the level, counts the failure, and may flag a
-        restart.  Returns whether the branch is consistent."""
+        On failure restores the level, counts the failure, and raises
+        _Restart when the round's failure limit is reached.  Returns whether
+        the branch is consistent."""
         store = self.store
         heur = self.heuristic
         level = store.push_level()
@@ -243,7 +244,7 @@ class _Solver:
         if self.max_failures is not None and self.stats.failures >= self.max_failures:
             raise _Timeout
         if controller.on_failure():
-            self._restart_requested = True
+            raise _Restart
         return False
 
     def _dfs(self) -> Status:
@@ -256,39 +257,28 @@ class _Solver:
         pending: list[tuple[int, int, int]] = []  # (level before push, x, v)
 
         while True:
-            free = self._free_vars()
-            if not free:
-                if self._record_solution():
+            try:
+                free = self._free_vars()
+                if free:
+                    x = heur.select_variable(free, store)
+                    v = heur.select_value(x, store)
+                    level_before = store.level
+                    stats.choice_points += 1
+                    if self._try_branch("eq", x, v, controller):
+                        pending.append((level_before, x, v))
+                        continue
+                    if self._try_branch("ne", x, v, controller):
+                        continue
+                elif self._record_solution():
                     return Status.SOLUTION_FOUND
-                exhausted = not self._backtrack(pending, controller)
-            else:
-                x = heur.select_variable(free, store)
-                v = heur.select_value(x, store)
-                level_before = store.level
-                stats.choice_points += 1
-                if self._try_branch("eq", x, v, controller):
-                    pending.append((level_before, x, v))
-                    continue
-                if self._restart_requested:
-                    exhausted = False
-                elif self._try_branch("ne", x, v, controller):
-                    continue
-                else:
-                    exhausted = (
-                        not self._restart_requested
-                        and not self._backtrack(pending, controller)
-                    )
-            if self._restart_requested:
-                self._restart_requested = False
+                if not self._backtrack(pending, controller):
+                    return self._exhausted_status()
+            except _Restart:
                 stats.restarts += 1
                 controller.new_round()
                 pending.clear()
                 if store.level >= 1:
                     store.restore_to(1)
-                continue
-            if exhausted:
-                break
-        return self._exhausted_status()
 
     def _exhausted_status(self) -> Status:
         stats = self.stats
@@ -302,14 +292,12 @@ class _Solver:
 
     def _backtrack(self, pending, controller) -> bool:
         """Work through pending refutations; True once a consistent node is
-        reached, False when the tree is exhausted (or a restart triggered)."""
+        reached, False when the tree is exhausted."""
         while pending:
             level_before, x, v = pending.pop()
             self.store.restore_to(level_before + 1)
             if self._try_branch("ne", x, v, controller):
                 return True
-            if self._restart_requested:
-                return False
         return False
 
 

@@ -190,6 +190,14 @@ class TestCli:
             ["sweep", "--param", "delta", "--values", "0.2", "--bench", "msq:4",
              "--runs", "0"],
             ["activities", "--bench", "msq:4", "--timeout", "0"],
+            # activities always probes with ABS: the solve-only flags are errors
+            ["activities", "--bench", "msq:4", "--heur", "wdeg"],
+            ["activities", "--bench", "msq:4", "--restart", "geo:2"],
+            ["activities", "--bench", "msq:4", "--runs", "7"],
+            ["activities", "--bench", "msq:4", "--threads", "1"],
+            ["activities", "--bench", "msq:4", "--no-value-heur"],
+            ["activities", "--bench", "msq:4", "--alpha", "4"],
+            ["activities", "--bench", "msq:4", "--gamma", "0.9"],
         ):
             with pytest.raises(SystemExit) as exc:
                 main(argv + ["--out", str(out)])
@@ -197,9 +205,10 @@ class TestCli:
             assert not out.exists(), argv  # rejected before any solve
 
     def test_bad_restart_exit_code_two(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["run", "--bench", "msq:4", "--restart", "sometimes"])
-        assert exc.value.code == 2
+        for restart in ("sometimes", "geo:nan", "geo:inf"):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--bench", "msq:4", "--restart", restart])
+            assert exc.value.code == 2, restart
 
     def test_sweep_bad_values_exit_code_two(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -229,10 +238,18 @@ class TestCli:
     def test_activities_command(self, tmp_path):
         out = tmp_path / "a.csv"
         code = main([
-            "activities", "--bench", "msq:5", "--seed", "2", "--threads", "1",
-            "--out", str(out),
+            "activities", "--bench", "msq:5", "--seed", "2", "--out", str(out),
         ])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "var,activity"
         assert len(lines) > 1
+
+    def test_activities_timeout_exits_one_without_output(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = main([
+            "activities", "--bench", "msq:8", "--timeout", "0.001", "--out", str(out),
+        ])
+        assert code == 1
+        assert "bench: probing timed out" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdsearch import (
     AllDifferent,
@@ -16,6 +17,7 @@ from fdsearch import (
 
 from oracles import (
     exact_filter,
+    random_csp,
     random_propagator_instance,
     reference_filter,
 )
@@ -257,6 +259,46 @@ class TestEngine:
         m = Model()
         _, _, res = run_fixpoint(m)
         assert res.ok and res.affected == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(st.sampled_from(("push", "fixpoint", "fixpoint", "restore")), max_size=40),
+    )
+    def test_affected_and_restore_match_snapshots(self, seed, ops):
+        """Random push_level / decision fixpoint / restore_to sequences, with
+        several fixpoints per level and some at level 0: ``affected`` is the
+        set of variables whose size dropped, by a size snapshot taken before
+        the call, and a restore gives back the masks taken at the push."""
+        rng = random.Random(seed)
+        m = random_csp(rng)
+        store = m.new_store()
+        engine = Engine(m.num_vars, m.propagators)
+        pushed = []  # pushed[k - 1]: the masks when push_level returned k
+
+        def fixpoint(**kw):
+            sizes0 = [d.size for d in store.domains]
+            res = engine.propagate(store, **kw)
+            shrunk = [x for x, d in enumerate(store.domains) if d.size < sizes0[x]]
+            assert sorted(res.affected) == shrunk  # hence also no duplicates
+
+        fixpoint(seed_all=True)
+        for op in ops:
+            if op == "push":
+                assert store.push_level() == len(pushed) + 1
+                pushed.append([d.mask for d in store.domains])
+            elif op == "restore":
+                if pushed:
+                    k = rng.randint(1, len(pushed))
+                    store.restore_to(k)
+                    assert [d.mask for d in store.domains] == pushed[k - 1]
+                    del pushed[k - 1:]
+            else:
+                free = [x for x, d in enumerate(store.domains) if d.size > 1]
+                if free:
+                    x = rng.choice(free)
+                    v = rng.choice(store.domains[x].as_tuple())
+                    fixpoint(decision=(rng.choice(("eq", "ne")), x, v))
 
 
 class TestOracleEquivalence:

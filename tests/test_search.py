@@ -5,6 +5,7 @@ import pytest
 
 from fdsearch import (
     BinaryLess,
+    Engine,
     HeuristicConfig,
     KnapsackInstance,
     LinearEq,
@@ -161,6 +162,12 @@ class TestRestarts:
         c = RestartController(RestartPolicy.geometric(2.0, 4), 1)
         assert [c.on_failure() for _ in range(4)] == [False, False, False, True]
 
+    def test_geometric_rejects_bad_parameters(self):
+        # rho must be finite and > 1, an explicit initial limit at least 1
+        for args in ((1.0,), (0.5,), (float("nan"),), (float("inf"),), (2.0, 0), (2.0, -5)):
+            with pytest.raises(ValueError):
+                RestartPolicy.geometric(*args)
+
     def test_default_initial_limit_is_three_per_variable(self):
         c = RestartController(RestartPolicy.geometric(1.5), 3 * 7)
         assert c.limit == 21
@@ -244,6 +251,29 @@ class TestLimits:
         assert stats.status is Status.TIMED_OUT
         assert stats.wall_time >= 0.15
         assert stats.choice_points > 0
+
+    def test_no_fixpoint_starts_after_the_deadline(self, monkeypatch):
+        # a fake clock: one unit per read, and one more per fixpoint (its work)
+        now = [0.0]
+        starts = []
+
+        def clock():
+            now[0] += 1.0
+            return now[0] - 1.0
+
+        real_propagate = Engine.propagate
+
+        def timed_propagate(self, *args, **kwargs):
+            starts.append(now[0])
+            now[0] += 1.0
+            return real_propagate(self, *args, **kwargs)
+
+        monkeypatch.setattr("fdsearch.search.time.perf_counter", clock)
+        monkeypatch.setattr(Engine, "propagate", timed_propagate)
+        stats = solve(build_magic_square(6), "wdeg", seed=0, timeout=50.0)
+        assert stats.status is Status.TIMED_OUT
+        assert len(starts) > 10
+        assert max(starts) <= 50.0  # the solve's clock starts at 0
 
     def test_max_failures_cap(self):
         stats = solve(build_magic_square(6), "wdeg", seed=0, max_failures=50)
