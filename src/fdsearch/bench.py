@@ -294,6 +294,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if config.runs < 1:
             raise ValueError("--runs must be at least 1")
+        if config.threads is not None and config.threads < 1:
+            raise ValueError("--threads must be at least 1")
         if not config.timeout > 0:
             raise ValueError("--timeout must be positive")
         build_benchmark(config.bench)  # fail fast on bad selectors

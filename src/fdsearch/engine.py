@@ -75,19 +75,15 @@ class Engine:
         queue: deque[int] = deque()
         scheduled = bytearray(len(props))
 
-        def sched_var(x: int) -> None:
-            for q in watchers[x]:
-                if not scheduled[q]:
-                    scheduled[q] = 1
-                    queue.append(q)
-
         if decision is not None:
             kind, x, v = decision
             out = store.assign(x, v) if kind == "eq" else store.remove_value(x, v)
             if out is WOULD_EMPTY:
                 return PropagationResult(DECISION, [])
             if out is SHRUNK:
-                sched_var(x)
+                for q in watchers[x]:  # the queue is empty: each is new
+                    scheduled[q] = 1
+                    queue.append(q)
         if seed_all:
             for p in props:
                 scheduled[p.pid] = 1
@@ -97,13 +93,18 @@ class Engine:
                 scheduled[pid] = 1
                 queue.append(pid)
 
+        pop = queue.popleft
+        push = queue.append
         while queue:
-            pid = queue.popleft()
+            pid = pop()
             scheduled[pid] = 0
             changed = props[pid].propagate(store)
             if changed is None:
                 return PropagationResult(pid, [x for x, _ in trail.entries[start:]])
             for x in changed:
-                sched_var(x)
+                for q in watchers[x]:
+                    if not scheduled[q]:
+                        scheduled[q] = 1
+                        push(q)
 
         return PropagationResult(None, [x for x, _ in trail.entries[start:]])

@@ -12,10 +12,6 @@ from typing import Optional, Sequence
 from .domain import DomainStore, SHRUNK, WOULD_EMPTY
 
 
-def _ceil_div(p: int, q: int) -> int:
-    return -((-p) // q)
-
-
 class Propagator:
     """Base class; subclasses define filtering and a full-assignment check."""
 
@@ -59,58 +55,90 @@ class _Linear(Propagator):
         self.rhs = rhs
 
     def propagate(self, store: DomainStore) -> Optional[list[int]]:
+        """Tighten every term against the others' bounds until nothing moves.
+
+        Each pass is Jacobi: all its tightenings use the ``lo``/``hi`` sums
+        of the term bounds at the start of the pass.  A term whose span
+        ``term_hi - term_lo`` is at most the slack of a side cannot be cut
+        by that side, so its store call is skipped: for c > 0 the <= side
+        asks ``max <= (b - lo + c*min) // c``, which holds whenever
+        ``c*max - c*min <= b - lo``, and likewise for c < 0 and for the >=
+        side of an equality with slack ``hi - b``.  Such a call would return
+        UNCHANGED, so skipping it leaves the store, the trail and the
+        returned list as they were.  Only the terms that moved are
+        recomputed between passes.
+        """
         domains = store.domains
         cs = self.coeffs
         xs = self.scope
         b = self.rhs
         is_eq = self.is_eq
         n = len(xs)
+        term_lo: list[int] = []
+        term_hi: list[int] = []
+        for c, x in zip(cs, xs):
+            d = domains[x]
+            if c > 0:
+                term_lo.append(c * d.min)
+                term_hi.append(c * d.max)
+            else:
+                term_lo.append(c * d.max)
+                term_hi.append(c * d.min)
+        lo = sum(term_lo)
+        hi = sum(term_hi)
         changed: list[int] = []
-        term_lo = [0] * n
-        term_hi = [0] * n
         while True:
-            lo = 0
-            hi = 0
-            for i in range(n):
-                c = cs[i]
-                d = domains[xs[i]]
-                if c > 0:
-                    tlo, thi = c * d.min, c * d.max
-                else:
-                    tlo, thi = c * d.max, c * d.min
-                term_lo[i] = tlo
-                term_hi[i] = thi
-                lo += tlo
-                hi += thi
             if lo > b or (is_eq and hi < b):
                 return None
-            progress = False
+            slack = b - lo
+            # no span exceeds hi - lo, so a <= row never reaches its >= side
+            surplus = hi - b if is_eq else hi - lo
+            moved: list[int] = []
             for i in range(n):
+                span = term_hi[i] - term_lo[i]
+                if span <= slack and span <= surplus:
+                    continue
                 c = cs[i]
                 x = xs[i]
-                ub_num = b - (lo - term_lo[i])  # c*x <= ub_num
-                if c > 0:
-                    out = store.tighten_max(x, ub_num // c)
-                else:
-                    out = store.tighten_min(x, _ceil_div(ub_num, c))
-                if out is WOULD_EMPTY:
-                    return None
-                if out is SHRUNK:
-                    changed.append(x)
-                    progress = True
-                if is_eq:
-                    lb_num = b - (hi - term_hi[i])  # c*x >= lb_num
+                shrunk = False
+                if span > slack:
+                    ub_num = slack + term_lo[i]  # c*x <= ub_num
                     if c > 0:
-                        out = store.tighten_min(x, _ceil_div(lb_num, c))
+                        out = store.tighten_max(x, ub_num // c)
+                    else:
+                        out = store.tighten_min(x, -(-ub_num // c))
+                    if out is WOULD_EMPTY:
+                        return None
+                    shrunk = out is SHRUNK
+                if span > surplus:
+                    lb_num = term_hi[i] - surplus  # c*x >= lb_num
+                    if c > 0:
+                        out = store.tighten_min(x, -(-lb_num // c))
                     else:
                         out = store.tighten_max(x, lb_num // c)
                     if out is WOULD_EMPTY:
                         return None
                     if out is SHRUNK:
-                        changed.append(x)
-                        progress = True
-            if not progress:
+                        shrunk = True
+                if shrunk:
+                    moved.append(i)
+            if not moved:
                 break
+            for i in moved:
+                c = cs[i]
+                x = xs[i]
+                changed.append(x)
+                d = domains[x]
+                lo -= term_lo[i]
+                hi -= term_hi[i]
+                if c > 0:
+                    term_lo[i] = tlo = c * d.min
+                    term_hi[i] = thi = c * d.max
+                else:
+                    term_lo[i] = tlo = c * d.max
+                    term_hi[i] = thi = c * d.min
+                lo += tlo
+                hi += thi
         if len(changed) > 1:
             changed = list(dict.fromkeys(changed))
         return changed
@@ -156,6 +184,8 @@ class AllDifferent(Propagator):
         self._base = None  # min anchor over scope, resolved lazily
 
     def propagate(self, store: DomainStore) -> Optional[list[int]]:
+        """``remove_bits`` is called only on a domain that holds one of the
+        bound values; on any other it would return UNCHANGED."""
         domains = store.domains
         scope = self.scope
         base = self._base
@@ -175,7 +205,10 @@ class AllDifferent(Propagator):
             for x in scope:
                 d = domains[x]
                 if d.size > 1:
-                    out = store.remove_bits(x, seen >> (d.anchor - base))
+                    bits = seen >> (d.anchor - base)
+                    if not d.mask & bits:
+                        continue
+                    out = store.remove_bits(x, bits)
                     if out is WOULD_EMPTY:
                         return None
                     if out is SHRUNK:
@@ -203,7 +236,7 @@ class BinaryKnapsackAtmost(Propagator):
     """
 
     kind = "binary_knapsack_atmost"
-    __slots__ = ("weights", "capacity")
+    __slots__ = ("weights", "capacity", "_heavy_first")
 
     def __init__(self, weights: Sequence[int], scope: Sequence[int], capacity: int):
         super().__init__(scope)
@@ -214,29 +247,42 @@ class BinaryKnapsackAtmost(Propagator):
             raise ValueError("weights must be non-negative")
         self.weights = weights
         self.capacity = capacity
+        self._heavy_first = sorted(range(len(weights)), key=lambda i: -weights[i])
 
     def propagate(self, store: DomainStore) -> Optional[list[int]]:
+        """Only items heavier than the slack can be pruned, so the scan for
+        them walks the items heaviest first and stops at the first one that
+        fits.  The pruned items are then assigned 0 in scope order, so the
+        returned list, the trail and the partial trail left by a failing
+        ``assign`` are those of a scan over the whole scope."""
         domains = store.domains
+        weights = self.weights
+        xs = self.scope
         mandatory = 0
-        free: list[tuple[int, int]] = []
-        for w, x in zip(self.weights, self.scope):
+        for w, x in zip(weights, xs):
             d = domains[x]
-            if d.size == 1:
-                if d.min == 1:
-                    mandatory += w
-            else:
-                free.append((w, x))
+            if d.size == 1 and d.min == 1:
+                mandatory += w
         slack = self.capacity - mandatory
         if slack < 0:
             return None
+        prune: list[int] = []
+        for i in self._heavy_first:
+            if weights[i] <= slack:
+                break
+            if domains[xs[i]].size > 1:
+                prune.append(i)
+        if not prune:
+            return []
+        prune.sort()
         changed: list[int] = []
-        for w, x in free:
-            if w > slack:
-                out = store.assign(x, 0)
-                if out is WOULD_EMPTY:
-                    return None
-                if out is SHRUNK:
-                    changed.append(x)
+        for i in prune:
+            x = xs[i]
+            out = store.assign(x, 0)
+            if out is WOULD_EMPTY:
+                return None
+            if out is SHRUNK:
+                changed.append(x)
         return changed
 
     def satisfied(self, values: Sequence[int]) -> bool:

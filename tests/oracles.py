@@ -2,22 +2,26 @@
 
 Everything here evaluates constraint semantics directly from propagator
 parameters (kind, coefficients, bounds); none of it calls the library's
-filtering code, so agreement is meaningful.
+filtering code, so agreement is meaningful.  The reference filtering loops
+at the end change domains only through ``DomainStore``'s shrink operations.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from typing import Optional
 
 from fdsearch import (
     AllDifferent,
     BinaryKnapsackAtmost,
     BinaryLess,
+    DomainStore,
     LinearEq,
     LinearLeq,
     Model,
 )
+from fdsearch.domain import SHRUNK, WOULD_EMPTY
 
 Domains = list[set[int]]
 
@@ -225,3 +229,136 @@ def random_propagator_instance(rng: random.Random, kind: str):
         m.post(cls(coeffs, list(range(n)), rhs))
     domains = [set(m.initial_domain(x).values()) for x in range(m.num_vars)]
     return m, domains
+
+
+# -- first-written filtering loops, as references for the optimised ones --
+#
+# Verbatim copies of the ``propagate`` bodies of ``_Linear``, ``AllDifferent``
+# and ``BinaryKnapsackAtmost`` before they learned to skip store calls that
+# cannot change anything.  Called as ``reference(prop, store)``, each must
+# leave the same masks and trail and return the same list, in the same
+# order, as ``prop.propagate(store)``.
+
+
+def _ceil_div(p: int, q: int) -> int:
+    return -((-p) // q)
+
+
+def linear_propagate(self, store: DomainStore) -> Optional[list[int]]:
+    """Recomputes every term bound on every pass; calls the store for
+    every side of every term."""
+    domains = store.domains
+    cs = self.coeffs
+    xs = self.scope
+    b = self.rhs
+    is_eq = self.is_eq
+    n = len(xs)
+    changed: list[int] = []
+    term_lo = [0] * n
+    term_hi = [0] * n
+    while True:
+        lo = 0
+        hi = 0
+        for i in range(n):
+            c = cs[i]
+            d = domains[xs[i]]
+            if c > 0:
+                tlo, thi = c * d.min, c * d.max
+            else:
+                tlo, thi = c * d.max, c * d.min
+            term_lo[i] = tlo
+            term_hi[i] = thi
+            lo += tlo
+            hi += thi
+        if lo > b or (is_eq and hi < b):
+            return None
+        progress = False
+        for i in range(n):
+            c = cs[i]
+            x = xs[i]
+            ub_num = b - (lo - term_lo[i])  # c*x <= ub_num
+            if c > 0:
+                out = store.tighten_max(x, ub_num // c)
+            else:
+                out = store.tighten_min(x, _ceil_div(ub_num, c))
+            if out is WOULD_EMPTY:
+                return None
+            if out is SHRUNK:
+                changed.append(x)
+                progress = True
+            if is_eq:
+                lb_num = b - (hi - term_hi[i])  # c*x >= lb_num
+                if c > 0:
+                    out = store.tighten_min(x, _ceil_div(lb_num, c))
+                else:
+                    out = store.tighten_max(x, lb_num // c)
+                if out is WOULD_EMPTY:
+                    return None
+                if out is SHRUNK:
+                    changed.append(x)
+                    progress = True
+        if not progress:
+            break
+    if len(changed) > 1:
+        changed = list(dict.fromkeys(changed))
+    return changed
+
+
+def alldifferent_propagate(self, store: DomainStore) -> Optional[list[int]]:
+    """Calls ``remove_bits`` on every unbound scope variable each pass."""
+    domains = store.domains
+    scope = self.scope
+    base = self._base
+    if base is None:
+        base = self._base = min(domains[x].anchor for x in scope)
+    changed: list[int] = []
+    while True:
+        seen = 0
+        for x in scope:
+            d = domains[x]
+            if d.size == 1:
+                bit = 1 << (d.min - base)
+                if seen & bit:
+                    return None
+                seen |= bit
+        progress = False
+        for x in scope:
+            d = domains[x]
+            if d.size > 1:
+                out = store.remove_bits(x, seen >> (d.anchor - base))
+                if out is WOULD_EMPTY:
+                    return None
+                if out is SHRUNK:
+                    changed.append(x)
+                    if d.size == 1:
+                        progress = True
+        if not progress:
+            break
+    return changed
+
+
+def knapsack_propagate(self, store: DomainStore) -> Optional[list[int]]:
+    """Collects the free items in scope order, then prunes those heavier
+    than the slack."""
+    domains = store.domains
+    mandatory = 0
+    free: list[tuple[int, int]] = []
+    for w, x in zip(self.weights, self.scope):
+        d = domains[x]
+        if d.size == 1:
+            if d.min == 1:
+                mandatory += w
+        else:
+            free.append((w, x))
+    slack = self.capacity - mandatory
+    if slack < 0:
+        return None
+    changed: list[int] = []
+    for w, x in free:
+        if w > slack:
+            out = store.assign(x, 0)
+            if out is WOULD_EMPTY:
+                return None
+            if out is SHRUNK:
+                changed.append(x)
+    return changed
