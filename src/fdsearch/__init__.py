@@ -25,7 +25,6 @@ from .heuristics import (
     t_critical,
 )
 from .search import (
-    RestartController,
     RestartPolicy,
     SearchStats,
     Status,
@@ -66,7 +65,6 @@ __all__ = [
     "ProbeAccumulator",
     "PropagationResult",
     "Propagator",
-    "RestartController",
     "RestartPolicy",
     "SearchStats",
     "Status",

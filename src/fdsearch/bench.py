@@ -18,6 +18,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -130,16 +131,11 @@ def run_single(config: RunConfig, run_id: int, seed: int) -> dict:
     }
 
 
-def _worker(args: tuple) -> dict:
-    config, run_id, seed = args
-    return run_single(config, run_id, seed)
-
-
 def _thread_budget(config: RunConfig) -> int:
     cap = os.cpu_count() or 1
     if config.threads is not None:
         cap = min(cap, config.threads)
-    return max(1, min(cap, config.runs))
+    return min(cap, config.runs)
 
 
 def aggregate_rows(rows: Sequence[dict], timeout: float) -> dict:
@@ -176,15 +172,14 @@ def run_experiment(config: RunConfig) -> RunRecord:
     """Run ``config.runs`` independent solves with seeds seed..seed+runs-1,
     optionally in parallel; aggregation order is fixed by seed order, so the
     output is thread-count independent."""
-    jobs = [
-        (config, run_id, config.seed + run_id) for run_id in range(config.runs)
-    ]
+    ids = range(config.runs)
+    seeds = range(config.seed, config.seed + config.runs)
     workers = _thread_budget(config)
-    if workers <= 1 or config.runs <= 1:
-        rows = [_worker(job) for job in jobs]
+    if workers <= 1:
+        rows = list(map(run_single, repeat(config), ids, seeds))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_worker, jobs))
+            rows = list(pool.map(run_single, repeat(config), ids, seeds))
     return RunRecord(config, rows, aggregate_rows(rows, config.timeout))
 
 

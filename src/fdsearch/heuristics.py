@@ -137,6 +137,13 @@ class ProbeAccumulator:
         return self.max_halfwidth_ratio(mean_epsilon) <= delta
 
 
+def _running_average(table: dict, key, new: float, alpha: float) -> None:
+    """Fold ``new`` into ``table[key]`` as (old*(alpha-1)+new)/alpha; the
+    first value is stored as is."""
+    old = table.get(key)
+    table[key] = new if old is None else (old * (alpha - 1.0) + new) / alpha
+
+
 def _argbest(candidates: Sequence[int], scores: Sequence[float], rng, largest: bool) -> int:
     """Uniform random element of the argmax (or argmin) set."""
     best = scores[0]
@@ -197,7 +204,6 @@ class ImpactSearch(SearchHeuristic):
 
     def initialize(self, solver) -> bool:
         store = solver.store
-        probes = 0
         for x in self.model.branch_vars:
             d = store.domains[x]
             if d.size <= 1:
@@ -210,7 +216,7 @@ class ImpactSearch(SearchHeuristic):
                 log_before = store.search_space_log_size()
                 level = store.push_level()
                 res = solver.propagate(("eq", x, a))
-                probes += 1
+                solver.stats.probes += 1
                 if res.ok:
                     impact = 1.0 - math.exp(store.search_space_log_size() - log_before)
                     store.restore_to(level)
@@ -218,10 +224,8 @@ class ImpactSearch(SearchHeuristic):
                 else:
                     store.restore_to(level)
                     self.impact[(x, a)] = 1.0
-                    if not solver.shave_root(x, a):
-                        solver.stats.probes += probes
-                        return False
-        solver.stats.probes += probes
+                    if not solver.propagate(("ne", x, a)).ok:
+                        return False  # shaving emptied a root domain
         return True
 
     def variable_score(self, x: int, store: DomainStore) -> float:
@@ -250,12 +254,7 @@ class ImpactSearch(SearchHeuristic):
             impact = 1.0 - math.exp(store.search_space_log_size() - log_before)
         else:
             impact = 1.0
-        old = self.impact.get((x, v))
-        if old is None:
-            self.impact[(x, v)] = impact
-        else:
-            alpha = self.config.alpha
-            self.impact[(x, v)] = (old * (alpha - 1.0) + impact) / alpha
+        _running_average(self.impact, (x, v), impact, self.config.alpha)
 
 
 class ActivitySearch(SearchHeuristic):
@@ -290,9 +289,7 @@ class ActivitySearch(SearchHeuristic):
             vector = [0] * nvars
             decisions: list[tuple[tuple[int, int], int]] = []
             base = store.push_level()
-            first_decision: Optional[tuple[int, int]] = None
             failed_first = False
-            step = 0
             while True:
                 free = [x for x in branch_vars if store.domains[x].size > 1]
                 if not free:
@@ -301,22 +298,19 @@ class ActivitySearch(SearchHeuristic):
                 x = free[rng.randrange(len(free))]
                 vals = list(store.domains[x].values())
                 v = vals[rng.randrange(len(vals))]
-                if step == 0:
-                    first_decision = (x, v)
                 res = solver.propagate(("eq", x, v))
                 for y in res.affected:
                     vector[y] += 1  # gamma=1 during probes: no aging
                 decisions.append(((x, v), len(res.affected)))
                 if not res.ok:
-                    failed_first = step == 0
+                    failed_first = len(decisions) == 1
                     break
-                step += 1
             store.restore_to(base)
+            solver.stats.probes += 1
             if failed_first:
                 # root + (x=v) fails: singleton-consistency shaving
-                fx, fv = first_decision
-                if not solver.shave_root(fx, fv):
-                    solver.stats.probes += acc.count + 1
+                (fx, fv), _ = decisions[0]
+                if not solver.propagate(("ne", fx, fv)).ok:
                     return False
             acc.fold(vector, decisions)
             if acc.should_stop(cfg.delta, _MIN_PROBES):
@@ -326,7 +320,6 @@ class ActivitySearch(SearchHeuristic):
             self.assignment_activity = {
                 key: cell[1] for key, cell in acc.assignment_mean.items()
             }
-        solver.stats.probes += acc.count
         return True
 
     def select_variable(self, free, store):
@@ -354,13 +347,7 @@ class ActivitySearch(SearchHeuristic):
             activity[y] += 1.0
         table = self.assignment_activity
         if kind == "eq" and table is not None:
-            a_k = float(len(result.affected))
-            old = table.get((x, v))
-            if old is None:
-                table[(x, v)] = a_k
-            else:
-                alpha = self.config.alpha
-                table[(x, v)] = (old * (alpha - 1.0) + a_k) / alpha
+            _running_average(table, (x, v), float(len(result.affected)), self.config.alpha)
 
 
 class WeightedDegreeSearch(SearchHeuristic):

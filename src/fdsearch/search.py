@@ -14,7 +14,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .engine import Engine, PropagationResult
 from .heuristics import ActivitySearch, HeuristicConfig, build_heuristic
@@ -53,27 +53,17 @@ class RestartPolicy:
     def enabled(self) -> bool:
         return self.rho is not None
 
-
-class RestartController:
-    """Counts search-phase failures within a round and signals restarts."""
-
-    def __init__(self, policy: RestartPolicy, default_initial: int):
-        self.policy = policy
-        self.limit = policy.initial_limit or max(1, default_initial)
-        self.failures_this_round = 0
-
-    def on_failure(self) -> bool:
-        """Returns True (RestartNow) exactly when the round's failure count
-        reaches the current limit."""
-        if not self.policy.enabled:
-            return False
-        self.failures_this_round += 1
-        return self.failures_this_round >= self.limit
-
-    def new_round(self) -> None:
-        # the 1e-9 slack keeps exact products exact (30 * 1.1 must give 33)
-        self.limit = math.ceil(self.limit * self.policy.rho - 1e-9)
-        self.failures_this_round = 0
+    def round_limits(self, num_branch_vars: int) -> Iterator[float]:
+        """The failure limit of each round in turn; one endless round when
+        restarts are off."""
+        if not self.enabled:
+            yield math.inf
+            return
+        limit = self.initial_limit or 3 * num_branch_vars
+        while True:
+            yield limit
+            # the 1e-9 slack keeps exact products exact (30 * 1.1 must give 33)
+            limit = math.ceil(limit * self.rho - 1e-9)
 
 
 @dataclass
@@ -115,6 +105,8 @@ class _Solver:
         model.audit()
         if all_solutions and (restart.enabled or model.objective is not None):
             raise ValueError("all-solutions mode requires no restarts and no objective")
+        if max_failures is not None and max_failures < 1:
+            raise ValueError("max_failures must be at least 1")
         self.model = model
         self.store = model.new_store()
         self.rng = random.Random(seed)
@@ -141,6 +133,7 @@ class _Solver:
 
         self._t0 = 0.0
         self._deadline: Optional[float] = None
+        self._round_end = math.inf  # the failure count that ends the restart round
 
     # -- services used by heuristics during initialization --
 
@@ -151,13 +144,6 @@ class _Solver:
         return self.engine.propagate(
             self.store, decision, seed_all=seed_all, extra=self._extra
         )
-
-    def shave_root(self, x: int, v: int) -> bool:
-        """Permanently remove a root value that failed singleton probing;
-        False when this proves root infeasibility."""
-        if self.store.level != 0:
-            raise RuntimeError("shaving is only valid at the root")
-        return self.propagate(("ne", x, v)).ok
 
     def note_probe_solution(self) -> bool:
         """A probe reached a leaf; record it.  Returns True when probing
@@ -205,11 +191,7 @@ class _Solver:
                 return self._finish(self._exhausted_status())
             if self.probe_only:
                 return self._finish(Status.SOLUTION_FOUND)
-            if (
-                stats.best_assignment is not None
-                and self.model.objective is None
-                and not self.all_solutions
-            ):
+            if stats.best_assignment is not None and self.model.objective is None:
                 return self._finish(Status.SOLUTION_FOUND)  # probe solution
             return self._finish(self._dfs())
         except _Timeout:
@@ -224,7 +206,7 @@ class _Solver:
         domains = self.store.domains
         return [x for x in self.model.branch_vars if domains[x].size > 1]
 
-    def _try_branch(self, kind: str, x: int, v: int, controller) -> bool:
+    def _try_branch(self, kind: str, x: int, v: int) -> bool:
         """Push a level, post the branch, propagate, feed the heuristic.
         On failure restores the level, counts the failure, and raises
         _Restart when the round's failure limit is reached.  Returns whether
@@ -240,10 +222,11 @@ class _Solver:
         if res.ok:
             return True
         store.restore_to(level)
-        self.stats.failures += 1
-        if self.max_failures is not None and self.stats.failures >= self.max_failures:
+        stats = self.stats
+        stats.failures += 1
+        if self.max_failures is not None and stats.failures >= self.max_failures:
             raise _Timeout
-        if controller.on_failure():
+        if stats.failures >= self._round_end:
             raise _Restart
         return False
 
@@ -251,9 +234,8 @@ class _Solver:
         store = self.store
         heur = self.heuristic
         stats = self.stats
-        controller = RestartController(
-            self.restart_policy, 3 * len(self.model.branch_vars)
-        )
+        limits = self.restart_policy.round_limits(len(self.model.branch_vars))
+        self._round_end = next(limits)
         pending: list[tuple[int, int, int]] = []  # (level before push, x, v)
 
         while True:
@@ -264,18 +246,18 @@ class _Solver:
                     v = heur.select_value(x, store)
                     level_before = store.level
                     stats.choice_points += 1
-                    if self._try_branch("eq", x, v, controller):
+                    if self._try_branch("eq", x, v):
                         pending.append((level_before, x, v))
                         continue
-                    if self._try_branch("ne", x, v, controller):
+                    if self._try_branch("ne", x, v):
                         continue
                 elif self._record_solution():
                     return Status.SOLUTION_FOUND
-                if not self._backtrack(pending, controller):
+                if not self._backtrack(pending):
                     return self._exhausted_status()
             except _Restart:
                 stats.restarts += 1
-                controller.new_round()
+                self._round_end = stats.failures + next(limits)
                 pending.clear()
                 if store.level >= 1:
                     store.restore_to(1)
@@ -290,13 +272,13 @@ class _Solver:
             return Status.SOLUTION_FOUND
         return Status.PROVED_INFEASIBLE
 
-    def _backtrack(self, pending, controller) -> bool:
+    def _backtrack(self, pending) -> bool:
         """Work through pending refutations; True once a consistent node is
         reached, False when the tree is exhausted."""
         while pending:
             level_before, x, v = pending.pop()
             self.store.restore_to(level_before + 1)
-            if self._try_branch("ne", x, v, controller):
+            if self._try_branch("ne", x, v):
                 return True
         return False
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +12,6 @@ from fdsearch import (
     LinearEq,
     LinearLeq,
     Model,
-    RestartController,
     RestartPolicy,
     Status,
     build_knapsack_cop,
@@ -23,6 +23,23 @@ from fdsearch import (
 from oracles import generate_and_test, random_csp
 
 HEURISTICS = ("abs", "ibs", "wdeg")
+
+
+def random_knapsack(rng: random.Random, max_items: int) -> tuple[KnapsackInstance, int]:
+    """A random multi-knapsack instance and its brute-force optimum."""
+    n = rng.randint(1, max_items)
+    m_cons = rng.randint(1, 3)
+    profits = [rng.randint(1, 30) for _ in range(n)]
+    weights = [[rng.randint(0, 9) for _ in range(n)] for _ in range(m_cons)]
+    caps = [rng.randint(0, max(1, sum(row) // 2)) for row in weights]
+    best = 0
+    for combo in itertools.product((0, 1), repeat=n):
+        if all(
+            sum(w * c for w, c in zip(row, combo)) <= cap
+            for row, cap in zip(weights, caps)
+        ):
+            best = max(best, sum(p * c for p, c in zip(profits, combo)))
+    return KnapsackInstance(n, m_cons, profits, weights, caps, None), best
 
 
 class TestSolveBasics:
@@ -118,19 +135,7 @@ class TestBranchAndBound:
     def test_bnb_matches_bruteforce_on_random_instances(self):
         rng = random.Random(99)
         for _ in range(25):
-            n = rng.randint(1, 12)
-            m_cons = rng.randint(1, 3)
-            profits = [rng.randint(1, 30) for _ in range(n)]
-            weights = [[rng.randint(0, 9) for _ in range(n)] for _ in range(m_cons)]
-            caps = [rng.randint(0, max(1, sum(row) // 2)) for row in weights]
-            inst = KnapsackInstance(n, m_cons, profits, weights, caps, None)
-            best = 0
-            for combo in itertools.product((0, 1), repeat=n):
-                if all(
-                    sum(w * c for w, c in zip(row, combo)) <= cap
-                    for row, cap in zip(weights, caps)
-                ):
-                    best = max(best, sum(p * c for p, c in zip(profits, combo)))
+            inst, best = random_knapsack(rng, 12)
             h = rng.choice(HEURISTICS)
             stats = solve(build_knapsack_cop(inst), h, seed=rng.randrange(1000))
             assert stats.status is Status.PROVED_OPTIMAL
@@ -139,28 +144,28 @@ class TestBranchAndBound:
 
 class TestRestarts:
     def test_controller_limit_sequence_doubling(self):
-        c = RestartController(RestartPolicy.geometric(2.0, 30), 1)
-        limits = [c.limit]
-        for _ in range(3):
-            c.new_round()
-            limits.append(c.limit)
-        assert limits == [30, 60, 120, 240]
+        limits = RestartPolicy.geometric(2.0, 30).round_limits(1)
+        assert list(itertools.islice(limits, 4)) == [30, 60, 120, 240]
 
     def test_controller_limit_sequence_with_ceiling(self):
-        c = RestartController(RestartPolicy.geometric(1.1, 30), 1)
-        limits = [c.limit]
-        for _ in range(2):
-            c.new_round()
-            limits.append(c.limit)
-        assert limits == [30, 33, 37]
+        limits = RestartPolicy.geometric(1.1, 30).round_limits(1)
+        assert list(itertools.islice(limits, 3)) == [30, 33, 37]
 
     def test_no_restart_policy_always_continues(self):
-        c = RestartController(RestartPolicy.none(), 5)
-        assert not any(c.on_failure() for _ in range(1000))
+        # one round that no failure count ends
+        assert list(RestartPolicy.none().round_limits(5)) == [math.inf]
 
     def test_restart_fires_exactly_at_limit(self):
-        c = RestartController(RestartPolicy.geometric(2.0, 4), 1)
-        assert [c.on_failure() for _ in range(4)] == [False, False, False, True]
+        # rounds of 4 and 8 failures end at failures 4 and 12, not before;
+        # the failure cap is checked first, so a round ending at the cap
+        # does not count as a restart
+        policy = RestartPolicy.geometric(2.0, 4)
+        model = build_magic_square(4)
+        for cap, restarts in ((4, 0), (5, 1), (12, 1), (13, 2)):
+            stats = solve(model, "wdeg", restart=policy, seed=0, max_failures=cap)
+            assert (stats.status, stats.failures, stats.restarts) == (
+                Status.TIMED_OUT, cap, restarts
+            )
 
     def test_geometric_rejects_bad_parameters(self):
         # rho must be finite and > 1, an explicit initial limit at least 1
@@ -169,8 +174,7 @@ class TestRestarts:
                 RestartPolicy.geometric(*args)
 
     def test_default_initial_limit_is_three_per_variable(self):
-        c = RestartController(RestartPolicy.geometric(1.5), 3 * 7)
-        assert c.limit == 21
+        assert next(RestartPolicy.geometric(1.5).round_limits(7)) == 21
 
     def test_search_remains_complete_with_restarts(self):
         rng = random.Random(5)
@@ -197,6 +201,20 @@ class TestRestarts:
         )
         assert stats.status is Status.PROVED_OPTIMAL
         assert stats.best_objective == 4
+
+    def test_bnb_with_restarts_matches_bruteforce(self):
+        # branch and bound on items only (branch_vars), with and without restarts
+        rng = random.Random(1105)
+        restarted = 0
+        for i in range(20):
+            inst, best = random_knapsack(rng, 10)
+            for h in HEURISTICS:
+                for policy in (RestartPolicy.none(), RestartPolicy.geometric(1.5, 2)):
+                    stats = solve(build_knapsack_cop(inst), h, restart=policy, seed=i)
+                    assert stats.status is Status.PROVED_OPTIMAL, (i, h, policy)
+                    assert stats.best_objective == best, (i, h, policy)
+                    restarted += stats.restarts > 0
+        assert restarted >= 10  # the round-limit arithmetic ran under B&B
 
 
 class TestCompleteness:
@@ -245,6 +263,28 @@ class TestDeterminism:
         assert len(cps) > 1
 
 
+def fake_clock(monkeypatch) -> list[float]:
+    """Make the solve clock advance one unit per read and one more per
+    fixpoint (its work); returns the list of fixpoint start times."""
+    now = [0.0]
+    starts = []
+
+    def clock():
+        now[0] += 1.0
+        return now[0] - 1.0
+
+    real_propagate = Engine.propagate
+
+    def timed_propagate(self, *args, **kwargs):
+        starts.append(now[0])
+        now[0] += 1.0
+        return real_propagate(self, *args, **kwargs)
+
+    monkeypatch.setattr("fdsearch.search.time.perf_counter", clock)
+    monkeypatch.setattr(Engine, "propagate", timed_propagate)
+    return starts
+
+
 class TestLimits:
     def test_timeout_returns_partial_stats(self):
         stats = solve(build_magic_square(6), "wdeg", seed=0, timeout=0.15)
@@ -253,29 +293,27 @@ class TestLimits:
         assert stats.choice_points > 0
 
     def test_no_fixpoint_starts_after_the_deadline(self, monkeypatch):
-        # a fake clock: one unit per read, and one more per fixpoint (its work)
-        now = [0.0]
-        starts = []
-
-        def clock():
-            now[0] += 1.0
-            return now[0] - 1.0
-
-        real_propagate = Engine.propagate
-
-        def timed_propagate(self, *args, **kwargs):
-            starts.append(now[0])
-            now[0] += 1.0
-            return real_propagate(self, *args, **kwargs)
-
-        monkeypatch.setattr("fdsearch.search.time.perf_counter", clock)
-        monkeypatch.setattr(Engine, "propagate", timed_propagate)
+        starts = fake_clock(monkeypatch)
         stats = solve(build_magic_square(6), "wdeg", seed=0, timeout=50.0)
         assert stats.status is Status.TIMED_OUT
         assert len(starts) > 10
         assert max(starts) <= 50.0  # the solve's clock starts at 0
 
+    @pytest.mark.parametrize("heur", ("abs", "ibs"))
+    def test_timeout_during_probing_reports_completed_probes(self, monkeypatch, heur):
+        # probing msq:6 takes several hundred fixpoints; the deadline cuts it
+        fake_clock(monkeypatch)
+        stats = solve(build_magic_square(6), heur, seed=0, timeout=100.0)
+        assert stats.status is Status.TIMED_OUT
+        assert stats.choice_points == 0
+        assert stats.probes > 0
+
     def test_max_failures_cap(self):
         stats = solve(build_magic_square(6), "wdeg", seed=0, max_failures=50)
         assert stats.status is Status.TIMED_OUT
         assert stats.failures == 50
+
+    @pytest.mark.parametrize("cap", (0, -3))
+    def test_max_failures_below_one_rejected(self, cap):
+        with pytest.raises(ValueError):
+            solve(build_magic_square(5), "wdeg", seed=0, max_failures=cap)
