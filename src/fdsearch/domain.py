@@ -86,14 +86,6 @@ class FiniteDomain:
     def as_tuple(self) -> tuple[int, ...]:
         return tuple(self.values())
 
-    def is_bound(self) -> bool:
-        return self.size == 1
-
-    def value(self) -> int:
-        if self.size != 1:
-            raise ValueError("domain is not a singleton")
-        return self.min
-
     def __repr__(self) -> str:
         if self.size > 12:
             return f"FiniteDomain(min={self.min}, max={self.max}, size={self.size})"
@@ -101,23 +93,28 @@ class FiniteDomain:
 
 
 class Trail:
-    """Chronological undo log of (var, old mask) pairs.
+    """Chronological undo logs: (var, old mask) pairs in ``entries`` and
+    (propagator id, old state) pairs in ``state_entries``.
 
-    The log is cut into segments: a new one starts at each ``push``, each
+    The logs are cut into segments: a new one starts at each ``push``, each
     ``pop_to`` and each ``segment`` call.  A variable is logged at most once
     per segment, when it first shrinks there, so the entries of a segment
-    list exactly the variables it shrank.  A level may span several
-    segments and hold several entries for one variable; replaying them in
-    reverse reinstalls the oldest mask last.
+    list exactly the variables it shrank; a propagator state is likewise
+    logged once per segment, before its first replacement there, but not
+    at level 0.  A level
+    may span several segments and hold several entries for one variable or
+    state; replaying them in reverse reinstalls the oldest last.
     """
 
-    __slots__ = ("entries", "_marks", "_epoch", "_stamps")
+    __slots__ = ("entries", "state_entries", "_marks", "_epoch", "_stamps", "_state_stamps")
 
     def __init__(self, nvars: int):
         self.entries: list[tuple[int, int]] = []
-        self._marks: list[int] = []
+        self.state_entries: list[tuple[int, object]] = []
+        self._marks: list[tuple[int, int]] = []  # log lengths at each push
         self._epoch = 0
         self._stamps = [-1] * nvars
+        self._state_stamps: dict[int, int] = {}
 
     @property
     def level(self) -> int:
@@ -128,20 +125,30 @@ class Trail:
             self._stamps[x] = self._epoch
             self.entries.append((x, mask))
 
+    def record_state(self, pid: int, state: object) -> None:
+        # nothing restores a root state, so the root logs none
+        if self._marks and self._state_stamps.get(pid) != self._epoch:
+            self._state_stamps[pid] = self._epoch
+            self.state_entries.append((pid, state))
+
     def segment(self) -> int:
         """Start a new segment; returns the index of its first entry."""
         self._epoch += 1
         return len(self.entries)
 
     def push(self) -> int:
-        self._marks.append(self.segment())
+        self._marks.append((self.segment(), len(self.state_entries)))
         return len(self._marks)
 
-    def pop_to(self, k: int) -> list[tuple[int, int]]:
-        """Drop levels ``k`` and deeper; return their entries (in push order)."""
+    def pop_to(self, k: int, states: dict[int, object]) -> list[tuple[int, int]]:
+        """Drop levels ``k`` and deeper.  Puts the propagator states logged
+        there back into ``states`` and returns the (var, mask) entries (in
+        push order) for the caller to reinstall."""
         if not 1 <= k <= self.level:
             raise ValueError(f"cannot restore to level {k} from level {self.level}")
-        target = self._marks[k - 1]
+        target, state_target = self._marks[k - 1]
+        states.update(reversed(self.state_entries[state_target:]))  # oldest last
+        del self.state_entries[state_target:]
         undo = self.entries[target:]
         del self.entries[target:]
         del self._marks[k - 1:]
@@ -150,18 +157,21 @@ class Trail:
 
 
 class DomainStore:
-    """All variable domains plus the trail; the single mutable solver state.
+    """All variable domains, the propagator states and the trail; the
+    single mutable solver state.
 
-    ``restore_to(k)`` rewinds every domain to the exact state it had when
-    ``push_level`` returned ``k`` and leaves the store at level ``k - 1``.
-    Changes made at level 0 (the root) are permanent.
+    ``states`` maps a propagator id to the summary of its scope that the
+    propagator keeps between engine calls (see ``Engine.propagate``); a
+    missing id means none.  States are replaced, never mutated in place,
+    through ``set_state``, which trails the old one.
     """
 
-    __slots__ = ("domains", "trail")
+    __slots__ = ("domains", "trail", "states")
 
     def __init__(self, domains: Sequence[FiniteDomain]):
         self.domains: list[FiniteDomain] = list(domains)
         self.trail = Trail(len(self.domains))
+        self.states: dict[int, object] = {}
 
     @classmethod
     def from_specs(cls, specs: Sequence[tuple[int, int]]) -> "DomainStore":
@@ -187,9 +197,17 @@ class DomainStore:
         return self.trail.push()
 
     def restore_to(self, k: int) -> None:
+        """Rewind every domain and every propagator state to what it was
+        when ``push_level`` returned ``k``; leaves the store at level
+        ``k - 1``.  Changes made at level 0 (the root) are permanent."""
         domains = self.domains
-        for x, mask in reversed(self.trail.pop_to(k)):
+        for x, mask in reversed(self.trail.pop_to(k, self.states)):
             domains[x]._set_mask(mask)
+
+    def set_state(self, pid: int, state: object) -> None:
+        """Replace propagator ``pid``'s state; the old one is trailed."""
+        self.trail.record_state(pid, self.states.get(pid))
+        self.states[pid] = state
 
     # -- shrinking operations; WOULD_EMPTY always leaves the store untouched --
 
@@ -215,15 +233,6 @@ class DomainStore:
         self.trail.record(x, d.mask)
         d._set_mask(new)
         return SHRUNK
-
-    def remove_values(self, x: VarId, values: Iterable[int]) -> ChangeOutcome:
-        d = self.domains[x]
-        bits = 0
-        for v in values:
-            i = v - d.anchor
-            if i >= 0:
-                bits |= 1 << i
-        return self.remove_bits(x, bits)
 
     def assign(self, x: VarId, v: int) -> ChangeOutcome:
         d = self.domains[x]

@@ -1,8 +1,17 @@
 """Propagators: contracting, sound filters over a DomainStore.
 
-``propagate`` returns the list of variables it shrank, or None on failure
-(a wipeout); the store is left untouched by the op that would have emptied
-a domain, so the caller's trail stays consistent.
+``propagate(store, advice=None)`` returns the list of variables it shrank,
+or None on failure (a wipeout); the store is left untouched by the op that
+would have emptied a domain, so the caller's trail stays consistent.
+
+A ``stateful`` propagator keeps a summary of its scope in
+``store.states[pid]`` between engine calls.  The engine passes ``advice``,
+the scope variables that changed since the previous call (a variable may
+appear more than once), and the propagator brings its state up to date from
+those alone; with no state yet it scans its scope and builds one.  A call
+without advice, as from a test, scans the scope and neither reads nor
+writes the state.  Either way the same filtering loop runs on the same
+input, so the result does not depend on which path fed it.
 """
 
 from __future__ import annotations
@@ -16,7 +25,8 @@ class Propagator:
     """Base class; subclasses define filtering and a full-assignment check."""
 
     kind = "abstract"
-    __slots__ = ("pid", "scope")
+    stateful = False
+    __slots__ = ("pid", "scope", "_pos")
 
     def __init__(self, scope: Sequence[int]):
         scope = list(scope)
@@ -26,8 +36,11 @@ class Propagator:
             raise ValueError("propagator scope must be duplicate-free")
         self.pid = -1  # set by Model.post
         self.scope = scope
+        self._pos = {x: i for i, x in enumerate(scope)}
 
-    def propagate(self, store: DomainStore) -> Optional[list[int]]:
+    def propagate(
+        self, store: DomainStore, advice: Optional[list[int]] = None
+    ) -> Optional[list[int]]:
         raise NotImplementedError
 
     def satisfied(self, values: Sequence[int]) -> bool:
@@ -42,6 +55,7 @@ class _Linear(Propagator):
     """Bounds-consistent filtering for sum(a_i * x_i) (= | <=) b."""
 
     is_eq = False
+    stateful = True
     __slots__ = ("coeffs", "rhs")
 
     def __init__(self, coeffs: Sequence[int], scope: Sequence[int], rhs: int):
@@ -54,7 +68,9 @@ class _Linear(Propagator):
         self.coeffs = coeffs
         self.rhs = rhs
 
-    def propagate(self, store: DomainStore) -> Optional[list[int]]:
+    def propagate(
+        self, store: DomainStore, advice: Optional[list[int]] = None
+    ) -> Optional[list[int]]:
         """Tighten every term against the others' bounds until nothing moves.
 
         Each pass is Jacobi: all its tightenings use the ``lo``/``hi`` sums
@@ -67,6 +83,14 @@ class _Linear(Propagator):
         UNCHANGED, so skipping it leaves the store, the trail and the
         returned list as they were.  Only the terms that moved are
         recomputed between passes.
+
+        The state is ``(lo, hi, term_lo, term_hi, heavy)``: the sums, the
+        term bounds, and ``(span, i)`` for the terms with a non-zero span
+        when the state was built, widest first.  Spans only shrink, so once
+        the advised terms are updated, a walk down ``heavy`` that reaches a
+        span at most the smaller slack without meeting a wider current span
+        proves that the first pass would make no store call: the call
+        returns [] there.
         """
         domains = store.domains
         cs = self.coeffs
@@ -74,18 +98,64 @@ class _Linear(Propagator):
         b = self.rhs
         is_eq = self.is_eq
         n = len(xs)
-        term_lo: list[int] = []
-        term_hi: list[int] = []
-        for c, x in zip(cs, xs):
-            d = domains[x]
-            if c > 0:
-                term_lo.append(c * d.min)
-                term_hi.append(c * d.max)
-            else:
-                term_lo.append(c * d.max)
-                term_hi.append(c * d.min)
-        lo = sum(term_lo)
-        hi = sum(term_hi)
+        state = None if advice is None else store.states.get(self.pid)
+        if state is None:
+            term_lo: list[int] = []
+            term_hi: list[int] = []
+            for c, x in zip(cs, xs):
+                d = domains[x]
+                if c > 0:
+                    term_lo.append(c * d.min)
+                    term_hi.append(c * d.max)
+                else:
+                    term_lo.append(c * d.max)
+                    term_hi.append(c * d.min)
+            lo = sum(term_lo)
+            hi = sum(term_hi)
+            heavy = sorted(
+                ((term_hi[i] - term_lo[i], i) for i in range(n) if term_hi[i] > term_lo[i]),
+                reverse=True,
+            )
+        else:
+            lo, hi, term_lo, term_hi, heavy = state
+            shared = True  # term_lo/term_hi are still the state's lists
+            pos = self._pos
+            for x in advice:
+                i = pos[x]
+                c = cs[i]
+                d = domains[x]
+                if c > 0:
+                    tlo, thi = c * d.min, c * d.max
+                else:
+                    tlo, thi = c * d.max, c * d.min
+                if tlo != term_lo[i] or thi != term_hi[i]:
+                    if shared:
+                        term_lo = term_lo[:]
+                        term_hi = term_hi[:]
+                        shared = False
+                    lo += tlo - term_lo[i]
+                    hi += thi - term_hi[i]
+                    term_lo[i] = tlo
+                    term_hi[i] = thi
+            slack = b - lo
+            surplus = hi - b if is_eq else hi - lo
+            least = slack if slack < surplus else surplus
+            if least < 0:
+                return None
+            busy = False
+            for span, i in heavy:
+                if span <= least:
+                    break
+                if term_hi[i] - term_lo[i] > least:
+                    busy = True
+                    break
+            if not busy:
+                if not shared:
+                    store.set_state(self.pid, (lo, hi, term_lo, term_hi, heavy))
+                return []
+            if shared:
+                term_lo = term_lo[:]
+                term_hi = term_hi[:]
         changed: list[int] = []
         while True:
             if lo > b or (is_eq and hi < b):
@@ -141,6 +211,8 @@ class _Linear(Propagator):
                 hi += thi
         if len(changed) > 1:
             changed = list(dict.fromkeys(changed))
+        if advice is not None:
+            store.set_state(self.pid, (lo, hi, term_lo, term_hi, heavy))
         return changed
 
     def _dot(self, values: Sequence[int]) -> int:
@@ -177,35 +249,64 @@ class AllDifferent(Propagator):
     """
 
     kind = "alldifferent"
+    stateful = True
     __slots__ = ("_base",)
 
     def __init__(self, scope: Sequence[int]):
         super().__init__(scope)
         self._base = None  # min anchor over scope, resolved lazily
 
-    def propagate(self, store: DomainStore) -> Optional[list[int]]:
-        """``remove_bits`` is called only on a domain that holds one of the
-        bound values; on any other it would return UNCHANGED."""
+    def propagate(
+        self, store: DomainStore, advice: Optional[list[int]] = None
+    ) -> Optional[list[int]]:
+        """Each pass takes the variables bound since the last pass (the
+        whole scope on a scan, the advice with a state), checks their values
+        against ``seen`` and removes the new values from the free domains.
+        The values already in ``seen`` are gone from every free domain, so
+        removing the new ones alone leaves the masks that removing all would.
+        ``remove_bits`` is called only on a domain that holds one of them;
+        on any other it would return UNCHANGED.
+
+        The state is ``(seen, bound)``: the bitset of bound values (bit
+        ``v - base``) and the bitset of the scope positions they came from,
+        which keeps a variable advised twice from being counted twice.
+        """
         domains = store.domains
         scope = self.scope
+        pos = self._pos
         base = self._base
         if base is None:
             base = self._base = min(domains[x].anchor for x in scope)
+        state = None if advice is None else store.states.get(self.pid)
+        if state is None:
+            seen = bound = 0
+            fresh = scope
+        else:
+            seen, bound = state
+            fresh = advice
+        bound0 = bound
         changed: list[int] = []
         while True:
-            seen = 0
-            for x in scope:
+            new = 0
+            for x in fresh:
                 d = domains[x]
                 if d.size == 1:
+                    flag = 1 << pos[x]
+                    if bound & flag:
+                        continue
+                    bound |= flag
                     bit = 1 << (d.min - base)
                     if seen & bit:
                         return None
                     seen |= bit
-            progress = False
+                    new |= bit
+            if not new:
+                break
+            fresh = []
             for x in scope:
                 d = domains[x]
                 if d.size > 1:
-                    bits = seen >> (d.anchor - base)
+                    bits = new >> (d.anchor - base)
                     if not d.mask & bits:
                         continue
                     out = store.remove_bits(x, bits)
@@ -214,9 +315,9 @@ class AllDifferent(Propagator):
                     if out is SHRUNK:
                         changed.append(x)
                         if d.size == 1:
-                            progress = True
-            if not progress:
-                break
+                            fresh.append(x)
+        if advice is not None and (state is None or bound != bound0):
+            store.set_state(self.pid, (seen, bound))
         return changed
 
     def satisfied(self, values: Sequence[int]) -> bool:
@@ -236,6 +337,7 @@ class BinaryKnapsackAtmost(Propagator):
     """
 
     kind = "binary_knapsack_atmost"
+    stateful = True
     __slots__ = ("weights", "capacity", "_heavy_first")
 
     def __init__(self, weights: Sequence[int], scope: Sequence[int], capacity: int):
@@ -249,20 +351,38 @@ class BinaryKnapsackAtmost(Propagator):
         self.capacity = capacity
         self._heavy_first = sorted(range(len(weights)), key=lambda i: -weights[i])
 
-    def propagate(self, store: DomainStore) -> Optional[list[int]]:
+    def propagate(
+        self, store: DomainStore, advice: Optional[list[int]] = None
+    ) -> Optional[list[int]]:
         """Only items heavier than the slack can be pruned, so the scan for
         them walks the items heaviest first and stops at the first one that
         fits.  The pruned items are then assigned 0 in scope order, so the
         returned list, the trail and the partial trail left by a failing
-        ``assign`` are those of a scan over the whole scope."""
+        ``assign`` are those of a scan over the whole scope.
+
+        The state is ``(mandatory, committed)``: the weight of the items
+        fixed to 1 and the bitset of their scope positions, so only the
+        advised items are checked for a new commitment."""
         domains = store.domains
         weights = self.weights
         xs = self.scope
-        mandatory = 0
-        for w, x in zip(weights, xs):
+        pos = self._pos
+        state = None if advice is None else store.states.get(self.pid)
+        if state is None:
+            mandatory = committed = 0
+            fresh = xs
+        else:
+            mandatory, committed = state
+            fresh = advice
+        for x in fresh:
             d = domains[x]
             if d.size == 1 and d.min == 1:
-                mandatory += w
+                i = pos[x]
+                if not committed >> i & 1:
+                    committed |= 1 << i
+                    mandatory += weights[i]
+        if advice is not None and (state is None or committed != state[1]):
+            store.set_state(self.pid, (mandatory, committed))
         slack = self.capacity - mandatory
         if slack < 0:
             return None
@@ -306,7 +426,9 @@ class BinaryLess(Propagator):
         super().__init__([x, y])
         self.strict = strict
 
-    def propagate(self, store: DomainStore) -> Optional[list[int]]:
+    def propagate(
+        self, store: DomainStore, advice: Optional[list[int]] = None
+    ) -> Optional[list[int]]:
         x, y = self.scope
         off = 1 if self.strict else 0
         domains = store.domains
@@ -346,7 +468,9 @@ class ObjectiveBound(Propagator):
     def update(self, incumbent: int) -> None:
         self.bound = incumbent + 1 if self.maximize else incumbent - 1
 
-    def propagate(self, store: DomainStore) -> Optional[list[int]]:
+    def propagate(
+        self, store: DomainStore, advice: Optional[list[int]] = None
+    ) -> Optional[list[int]]:
         if self.bound is None:
             return []
         x = self.scope[0]

@@ -32,10 +32,18 @@ class Status(enum.Enum):
 @dataclass
 class RestartPolicy:
     """No restarts, or geometric rounds: l0 failures in round 0 and
-    l_{i+1} = ceil(rho * l_i) after; l0 defaults to 3 * |branch vars|."""
+    l_{i+1} = ceil(rho * l_i) after; l0 defaults to 3 * |branch vars|.
+    The constructor rejects a rho that is not a finite number > 1 and an
+    initial limit below 1."""
 
     rho: Optional[float] = None
     initial_limit: Optional[int] = None
+
+    def __post_init__(self):
+        if self.rho is not None and not (math.isfinite(self.rho) and self.rho > 1.0):
+            raise ValueError("geometric restart factor must be a finite number > 1")
+        if self.initial_limit is not None and self.initial_limit < 1:
+            raise ValueError("initial restart limit must be at least 1")
 
     @classmethod
     def none(cls) -> "RestartPolicy":
@@ -43,10 +51,6 @@ class RestartPolicy:
 
     @classmethod
     def geometric(cls, rho: float, initial_limit: Optional[int] = None) -> "RestartPolicy":
-        if not (math.isfinite(rho) and rho > 1.0):
-            raise ValueError("geometric restart factor must be a finite number > 1")
-        if initial_limit is not None and initial_limit < 1:
-            raise ValueError("initial restart limit must be at least 1")
         return cls(rho=rho, initial_limit=initial_limit)
 
     @property

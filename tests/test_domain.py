@@ -30,7 +30,7 @@ class TestFiniteDomain:
 
     def test_singleton(self):
         d = FiniteDomain(5, 5)
-        assert d.is_bound() and d.value() == 5
+        assert (d.size, d.min, d.max) == (1, 5, 5)
 
 
 class TestRemoveValue:
@@ -89,10 +89,10 @@ class TestTighten:
         assert s.tighten_max(0, 0) is ChangeOutcome.WOULD_EMPTY
 
     def test_remove_values_bulk(self):
-        s = store_of([1, 2, 3, 4])
-        assert s.remove_values(0, [2, 4, 9]) is ChangeOutcome.SHRUNK
+        s = store_of([1, 2, 3, 4])  # anchored at 1: bit i is value 1 + i
+        assert s.remove_bits(0, 0b1010 | 1 << 8) is ChangeOutcome.SHRUNK  # 2, 4, 9
         assert s.domain(0).as_tuple() == (1, 3)
-        assert s.remove_values(0, [1, 3]) is ChangeOutcome.WOULD_EMPTY
+        assert s.remove_bits(0, 0b0101) is ChangeOutcome.WOULD_EMPTY  # 1, 3
         assert s.domain(0).as_tuple() == (1, 3)
 
 
@@ -213,3 +213,19 @@ class TestTrailInternals:
         s.remove_value(0, 2)
         s.restore_to(k)
         assert s.domain(0).as_tuple() == (1, 2, 3, 4)
+
+    def test_states_logged_once_per_segment_and_restored(self):
+        s = store_of([1, 2, 3])
+        s.set_state(7, "root")
+        k = s.push_level()
+        s.set_state(7, "a")
+        s.set_state(7, "b")  # same segment: "a" is not logged
+        assert s.trail.state_entries == [(7, "root")]  # the root logs none
+        s.trail.segment()
+        s.set_state(7, "c")
+        s.set_state(8, "new")
+        assert s.trail.state_entries == [(7, "root"), (7, "b"), (8, None)]
+        assert s.trail.entries == []  # the mask log holds masks only
+        s.restore_to(k)
+        assert s.states == {7: "root", 8: None}
+        assert s.trail.state_entries == []

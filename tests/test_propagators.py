@@ -377,6 +377,138 @@ class TestFirstWrittenFiltering:
             getattr(theirs, op)(x, v)
 
 
+def random_mixed_model(rng):
+    """Linear rows (holes, negative coefficients, msq-like wide rows),
+    knapsacks (some domains not 0/1) and alldifferents over shared
+    variables."""
+    m = Model("mixed")
+    nvars = rng.randint(3, 8)
+    for _ in range(nvars):
+        shape = rng.random()
+        if shape < 0.35:
+            m.add_var_values(rng.choice(([0, 1], [0, 1], [0, 1], [0], [1], [1, 2], [0, 2], [0, 1, 2])))
+        elif shape < 0.7:
+            m.add_var_values(random_domain(rng, lo=-4, hi=7, max_size=6))
+        else:
+            m.add_var(1, rng.randint(2, 20))
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(("linear_eq", "linear_leq", "linear_leq", "knapsack", "alldiff"))
+        scope = rng.sample(range(nvars), rng.randint(min(2, nvars), min(6, nvars)))
+        if kind == "knapsack":
+            weights = [rng.randint(0, 6) for _ in scope]
+            m.post(BinaryKnapsackAtmost(weights, scope, rng.randint(0, sum(weights))))
+        elif kind == "alldiff":
+            m.post(AllDifferent(scope))
+        else:
+            if rng.random() < 0.3:
+                coeffs = [1] * len(scope)
+            else:
+                coeffs = [rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)) for _ in scope]
+            rhs = sum(
+                c * rng.choice(m.initial_domain(x).as_tuple()) for c, x in zip(coeffs, scope)
+            ) + rng.randint(-3, 3)
+            m.post((LinearEq if kind == "linear_eq" else LinearLeq)(coeffs, scope, rhs))
+    return m
+
+
+class _Reference:
+    """Stateless twin of ``prop`` that runs its first-written loop."""
+
+    stateful = False
+
+    def __init__(self, prop):
+        self.prop = prop
+        self.pid = prop.pid
+        self.scope = prop.scope
+
+    def propagate(self, store, advice=None):
+        return REFERENCES[self.prop.kind](self.prop, store)
+
+
+class TestStatefulPath:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.sampled_from(("push", "fixpoint", "fixpoint", "fixpoint", "restore", "restore_1", "seed_all")),
+            max_size=40,
+        ),
+    )
+    def test_engine_matches_stateless_twin(self, seed, ops):
+        """The engine with advice and trailed states against a twin engine
+        whose propagators run the first-written loops, over random pushes,
+        decision fixpoints (some at level 0, some failing, then restored or
+        not), restores and rescanning ``seed_all`` fixpoints: the same
+        ``failed`` and ``affected``, the same masks and the same trail."""
+        rng = random.Random(seed)
+        m = random_mixed_model(rng)
+        ours, theirs = m.new_store(), m.new_store()
+        engines = (
+            (Engine(m.num_vars, m.propagators), ours),
+            (Engine(m.num_vars, [_Reference(p) for p in m.propagators]), theirs),
+        )
+
+        def fixpoint(**kw):
+            got, want = (engine.propagate(store, **kw) for engine, store in engines)
+            assert (got.failed, got.affected) == (want.failed, want.affected)
+            assert [d.mask for d in ours.domains] == [d.mask for d in theirs.domains]
+            assert ours.trail.entries == theirs.trail.entries
+            return got.ok
+
+        if not fixpoint(seed_all=True):
+            return
+        for op in ops:
+            if op == "push":
+                ours.push_level()
+                theirs.push_level()
+            elif op.startswith("restore"):
+                if ours.level:
+                    k = 1 if op == "restore_1" else rng.randint(1, ours.level)
+                    ours.restore_to(k)
+                    theirs.restore_to(k)
+            elif op == "seed_all":
+                fixpoint(seed_all=True)
+            else:
+                free = [x for x, d in enumerate(ours.domains) if d.size > 1]
+                if not free:
+                    continue
+                x = rng.choice(free)
+                v = rng.choice(ours.domains[x].as_tuple())
+                if not fixpoint(decision=(rng.choice(("eq", "ne")), x, v)):
+                    if ours.level and rng.random() < 0.8:
+                        ours.restore_to(ours.level)
+                        theirs.restore_to(theirs.level)
+            assert [d.mask for d in ours.domains] == [d.mask for d in theirs.domains]
+
+    def test_variable_advised_twice_counts_once(self):
+        """Two rows shrink x in turn in one fixpoint, so the alldifferent is
+        advised x twice; x's value must count once, not as a duplicate."""
+        m = Model()
+        x = m.add_var(1, 4)
+        y = m.add_var(1, 3)
+        z = m.add_var(0, 3)
+        calls = []
+
+        class Spy(AllDifferent):
+            __slots__ = ()
+
+            def propagate(self, store, advice=None):
+                calls.append(None if advice is None else list(advice))
+                return super().propagate(store, advice)
+
+        m.post(Spy([x, y]))
+        m.post(LinearLeq([1, 1], [x, z], 4))  # z = 2 gives x <= 2
+        m.post(LinearLeq([1, 2], [x, z], 5))  # z = 2 gives x <= 1
+        store, engine, res = run_fixpoint(m)
+        assert res.ok and store.domain(z).as_tuple() == (0, 1, 2)
+        store.push_level()
+        res = engine.propagate(store, decision=("eq", z, 2))
+        assert res.ok
+        assert [x, x] in calls
+        assert store.domain(x).as_tuple() == (1,)
+        assert store.domain(y).as_tuple() == (2, 3)
+
+
 class TestOracleEquivalence:
     def test_fixpoint_matches_declared_consistency_level(self):
         rng = random.Random(123)

@@ -172,6 +172,16 @@ class TestRestarts:
         for args in ((1.0,), (0.5,), (float("nan"),), (float("inf"),), (2.0, 0), (2.0, -5)):
             with pytest.raises(ValueError):
                 RestartPolicy.geometric(*args)
+        # the constructor checks the same, so no policy skips the checks
+        for kwargs in (
+            dict(rho=0.5, initial_limit=3),
+            dict(rho=float("nan"), initial_limit=3),
+            dict(rho=2.0, initial_limit=0),
+            dict(initial_limit=0),
+        ):
+            with pytest.raises(ValueError):
+                RestartPolicy(**kwargs)
+        assert not RestartPolicy().enabled and not RestartPolicy.none().enabled
 
     def test_default_initial_limit_is_three_per_variable(self):
         assert next(RestartPolicy.geometric(1.5).round_limits(7)) == 21
