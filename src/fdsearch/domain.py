@@ -101,9 +101,9 @@ class Trail:
     per segment, when it first shrinks there, so the entries of a segment
     list exactly the variables it shrank; a propagator state is likewise
     logged once per segment, before its first replacement there, but not
-    at level 0.  A level
-    may span several segments and hold several entries for one variable or
-    state; replaying them in reverse reinstalls the oldest last.
+    at level 0.  A level may span several segments and hold several
+    entries for one variable or state; replaying them in reverse
+    reinstalls the oldest last.
     """
 
     __slots__ = ("entries", "state_entries", "_marks", "_epoch", "_stamps", "_state_stamps")

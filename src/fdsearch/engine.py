@@ -1,11 +1,11 @@
 """Fixpoint propagation engine: FIFO queue over propagators, advice for
-stateful propagators, exact affected-variable reporting read from the trail
-segment each call opens."""
+every watcher of a changed variable, exact affected-variable reporting read
+from the trail segment each call opens."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .domain import DomainStore, SHRUNK, WOULD_EMPTY
 from .propagators import Propagator
@@ -43,26 +43,19 @@ class PropagationResult:
 class Engine:
     """Runs propagators to a fixpoint over a store.
 
-    Holds the propagator list, var -> watching propagators, and one advice
-    list per stateful propagator, empty between calls; one engine per solve
-    is cheap.  Propagator states live in the store.
+    Holds the propagator list, one advice list per propagator (empty
+    between calls) and var -> watching propagators; one engine per solve is
+    cheap.  Propagator states live in the store.
     """
 
     def __init__(self, nvars: int, propagators: Sequence[Propagator]):
         self.propagators = list(propagators)
-        self.advice: list[Optional[list[int]]] = [
-            [] if p.stateful else None for p in self.propagators
-        ]
-        watchers: list[list[int]] = [[] for _ in range(nvars)]
-        advisors: list[list] = [[] for _ in range(nvars)]
+        self.advice: list[list[int]] = [[] for _ in self.propagators]
+        # x -> (pid, the append method of pid's advice list) per watcher
+        self.watchers: list[list[tuple[int, Callable]]] = [[] for _ in range(nvars)]
         for p in self.propagators:
             for x in p.scope:
-                watchers[x].append(p.pid)
-                if p.stateful:
-                    advisors[x].append(self.advice[p.pid].append)
-        self.watchers = watchers
-        # x -> the append methods of its stateful watchers' advice lists
-        self.advisors = advisors
+                self.watchers[x].append((p.pid, self.advice[p.pid].append))
 
     def propagate(
         self,
@@ -81,17 +74,16 @@ class Engine:
         propagator ids (e.g. an objective bound).
 
         Wherever a variable is reported changed, it is also appended to the
-        advice list of each stateful watcher, which is passed to that
-        propagator's next call and then emptied.  On failure the states of
-        the propagators whose advice was discarded are dropped too, so a
-        state never lags the domains: the next call rescans, unless a
+        advice list of each watcher, which is passed to that propagator's
+        next call and then emptied.  On failure the states of the
+        propagators whose advice was discarded are dropped too, so a state
+        never lags the domains: the next call rescans, unless a
         ``restore_to`` brings back an older state first.
         """
         trail = store.trail
         start = trail.segment()
         props = self.propagators
         watchers = self.watchers
-        advisors = self.advisors
         advice = self.advice
         queue: deque[int] = deque()
         scheduled = bytearray(len(props))
@@ -102,11 +94,10 @@ class Engine:
             if out is WOULD_EMPTY:
                 return PropagationResult(DECISION, [])
             if out is SHRUNK:
-                for q in watchers[x]:  # the queue is empty: each is new
+                for q, advise in watchers[x]:  # the queue is empty: each is new
+                    advise(x)
                     scheduled[q] = 1
                     queue.append(q)
-                for advise in advisors[x]:
-                    advise(x)
         if seed_all:
             store.states.clear()
             for p in props:
@@ -133,11 +124,10 @@ class Engine:
             if adv:
                 adv.clear()
             for x in changed:
-                for q in watchers[x]:
+                for q, advise in watchers[x]:
+                    advise(x)
                     if not scheduled[q]:
                         scheduled[q] = 1
                         push(q)
-                for advise in advisors[x]:
-                    advise(x)
 
         return PropagationResult(None, [x for x, _ in trail.entries[start:]])

@@ -44,7 +44,7 @@ class HeuristicConfig:
     """Knobs shared by the three heuristics; the defaults match the
     benchmark harness defaults.
 
-    ``kind`` is "abs", "ibs" or "wdeg"; ``alpha`` (>= 1) weights the
+    ``kind`` is "abs", "ibs" or "wdeg"; ``alpha`` (finite, >= 1) weights the
     running averages of assignment impact and activity; ``gamma`` (in
     [0, 1]) is the ABS activity decay; ``delta`` (in (0, 1)) is the relative
     CI half-width at which ABS probing stops; ``value_heuristic`` enables
@@ -60,8 +60,8 @@ class HeuristicConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("abs", "ibs", "wdeg"):
             raise ValueError(f"unknown heuristic {self.kind!r}")
-        if self.alpha < 1:
-            raise ValueError("alpha must be >= 1")
+        if not 1 <= self.alpha < math.inf:
+            raise ValueError("alpha must be finite and >= 1")
         if not 0 <= self.gamma <= 1:
             raise ValueError("gamma must be in [0, 1]")
         if not 0 < self.delta < 1:

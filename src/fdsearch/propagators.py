@@ -4,14 +4,16 @@
 or None on failure (a wipeout); the store is left untouched by the op that
 would have emptied a domain, so the caller's trail stays consistent.
 
-A ``stateful`` propagator keeps a summary of its scope in
-``store.states[pid]`` between engine calls.  The engine passes ``advice``,
-the scope variables that changed since the previous call (a variable may
-appear more than once), and the propagator brings its state up to date from
-those alone; with no state yet it scans its scope and builds one.  A call
-without advice, as from a test, scans the scope and neither reads nor
-writes the state.  Either way the same filtering loop runs on the same
-input, so the result does not depend on which path fed it.
+The engine passes every propagator ``advice``: the scope variables that
+changed since its previous call (a variable may appear more than once).
+``BinaryLess`` and ``ObjectiveBound`` ignore it.  The linear rows, the
+knapsack and ``AllDifferent`` keep a summary of their scope in
+``store.states[pid]`` between engine calls and bring it up to date from
+the advised variables alone; with no state yet they scan the scope and
+build one.  A call without advice, as from a test, scans the scope and
+neither reads nor writes the state.  Either way the same filtering loop
+runs on the same input, so the result does not depend on which path fed
+it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ class Propagator:
     """Base class; subclasses define filtering and a full-assignment check."""
 
     kind = "abstract"
-    stateful = False
     __slots__ = ("pid", "scope", "_pos")
 
     def __init__(self, scope: Sequence[int]):
@@ -55,7 +56,6 @@ class _Linear(Propagator):
     """Bounds-consistent filtering for sum(a_i * x_i) (= | <=) b."""
 
     is_eq = False
-    stateful = True
     __slots__ = ("coeffs", "rhs")
 
     def __init__(self, coeffs: Sequence[int], scope: Sequence[int], rhs: int):
@@ -81,23 +81,23 @@ class _Linear(Propagator):
         ``c*max - c*min <= b - lo``, and likewise for c < 0 and for the >=
         side of an equality with slack ``hi - b``.  Such a call would return
         UNCHANGED, so skipping it leaves the store, the trail and the
-        returned list as they were.  Only the terms that moved are
-        recomputed between passes.
+        returned list as they were.  Conversely, a span above the slack of a
+        side makes that side cut the bound or fail, so every term a pass
+        visits moves; those terms are recomputed between passes, and the
+        loop ends at a pass that visits none.
 
         The state is ``(lo, hi, term_lo, term_hi, heavy)``: the sums, the
         term bounds, and ``(span, i)`` for the terms with a non-zero span
-        when the state was built, widest first.  Spans only shrink, so once
-        the advised terms are updated, a walk down ``heavy`` that reaches a
-        span at most the smaller slack without meeting a wider current span
-        proves that the first pass would make no store call: the call
-        returns [] there.
+        when the state was built, widest first.  Spans only shrink, so a
+        pass walks ``heavy`` only down to the first span at most the smaller
+        slack, and visits, in scope order, the terms met on the way whose
+        current span exceeds it.
         """
         domains = store.domains
         cs = self.coeffs
         xs = self.scope
         b = self.rhs
         is_eq = self.is_eq
-        n = len(xs)
         state = None if advice is None else store.states.get(self.pid)
         if state is None:
             term_lo: list[int] = []
@@ -113,9 +113,11 @@ class _Linear(Propagator):
             lo = sum(term_lo)
             hi = sum(term_hi)
             heavy = sorted(
-                ((term_hi[i] - term_lo[i], i) for i in range(n) if term_hi[i] > term_lo[i]),
+                ((term_hi[i] - term_lo[i], i) for i in range(len(xs))
+                 if term_hi[i] > term_lo[i]),
                 reverse=True,
             )
+            shared = False
         else:
             lo, hi, term_lo, term_hi, heavy = state
             shared = True  # term_lo/term_hi are still the state's lists
@@ -137,40 +139,27 @@ class _Linear(Propagator):
                     hi += thi - term_hi[i]
                     term_lo[i] = tlo
                     term_hi[i] = thi
+        changed: list[int] = []
+        while True:
             slack = b - lo
+            # no span exceeds hi - lo, so a <= row never reaches its >= side
             surplus = hi - b if is_eq else hi - lo
             least = slack if slack < surplus else surplus
             if least < 0:
                 return None
-            busy = False
+            wide: list[int] = []
             for span, i in heavy:
                 if span <= least:
                     break
                 if term_hi[i] - term_lo[i] > least:
-                    busy = True
-                    break
-            if not busy:
-                if not shared:
-                    store.set_state(self.pid, (lo, hi, term_lo, term_hi, heavy))
-                return []
-            if shared:
-                term_lo = term_lo[:]
-                term_hi = term_hi[:]
-        changed: list[int] = []
-        while True:
-            if lo > b or (is_eq and hi < b):
-                return None
-            slack = b - lo
-            # no span exceeds hi - lo, so a <= row never reaches its >= side
-            surplus = hi - b if is_eq else hi - lo
-            moved: list[int] = []
-            for i in range(n):
+                    wide.append(i)
+            if not wide:
+                break
+            wide.sort()
+            for i in wide:
                 span = term_hi[i] - term_lo[i]
-                if span <= slack and span <= surplus:
-                    continue
                 c = cs[i]
                 x = xs[i]
-                shrunk = False
                 if span > slack:
                     ub_num = slack + term_lo[i]  # c*x <= ub_num
                     if c > 0:
@@ -179,7 +168,6 @@ class _Linear(Propagator):
                         out = store.tighten_min(x, -(-ub_num // c))
                     if out is WOULD_EMPTY:
                         return None
-                    shrunk = out is SHRUNK
                 if span > surplus:
                     lb_num = term_hi[i] - surplus  # c*x >= lb_num
                     if c > 0:
@@ -188,13 +176,11 @@ class _Linear(Propagator):
                         out = store.tighten_max(x, lb_num // c)
                     if out is WOULD_EMPTY:
                         return None
-                    if out is SHRUNK:
-                        shrunk = True
-                if shrunk:
-                    moved.append(i)
-            if not moved:
-                break
-            for i in moved:
+            if shared:
+                term_lo = term_lo[:]
+                term_hi = term_hi[:]
+                shared = False
+            for i in wide:
                 c = cs[i]
                 x = xs[i]
                 changed.append(x)
@@ -209,6 +195,8 @@ class _Linear(Propagator):
                     term_hi[i] = thi = c * d.min
                 lo += tlo
                 hi += thi
+        if shared:  # the state read has not moved: it stands
+            return changed
         if len(changed) > 1:
             changed = list(dict.fromkeys(changed))
         if advice is not None:
@@ -249,12 +237,7 @@ class AllDifferent(Propagator):
     """
 
     kind = "alldifferent"
-    stateful = True
-    __slots__ = ("_base",)
-
-    def __init__(self, scope: Sequence[int]):
-        super().__init__(scope)
-        self._base = None  # min anchor over scope, resolved lazily
+    __slots__ = ()
 
     def propagate(
         self, store: DomainStore, advice: Optional[list[int]] = None
@@ -267,22 +250,21 @@ class AllDifferent(Propagator):
         ``remove_bits`` is called only on a domain that holds one of them;
         on any other it would return UNCHANGED.
 
-        The state is ``(seen, bound)``: the bitset of bound values (bit
-        ``v - base``) and the bitset of the scope positions they came from,
-        which keeps a variable advised twice from being counted twice.
+        The state is ``(base, seen, bound)``: the lowest anchor over the
+        scope, the bitset of bound values (bit ``v - base``) and the bitset
+        of the scope positions they came from, which keeps a variable
+        advised twice from being counted twice.
         """
         domains = store.domains
         scope = self.scope
         pos = self._pos
-        base = self._base
-        if base is None:
-            base = self._base = min(domains[x].anchor for x in scope)
         state = None if advice is None else store.states.get(self.pid)
         if state is None:
+            base = min(domains[x].anchor for x in scope)
             seen = bound = 0
             fresh = scope
         else:
-            seen, bound = state
+            base, seen, bound = state
             fresh = advice
         bound0 = bound
         changed: list[int] = []
@@ -317,7 +299,7 @@ class AllDifferent(Propagator):
                         if d.size == 1:
                             fresh.append(x)
         if advice is not None and (state is None or bound != bound0):
-            store.set_state(self.pid, (seen, bound))
+            store.set_state(self.pid, (base, seen, bound))
         return changed
 
     def satisfied(self, values: Sequence[int]) -> bool:
@@ -337,7 +319,6 @@ class BinaryKnapsackAtmost(Propagator):
     """
 
     kind = "binary_knapsack_atmost"
-    stateful = True
     __slots__ = ("weights", "capacity", "_heavy_first")
 
     def __init__(self, weights: Sequence[int], scope: Sequence[int], capacity: int):

@@ -111,6 +111,8 @@ class _Solver:
             raise ValueError("all-solutions mode requires no restarts and no objective")
         if max_failures is not None and max_failures < 1:
             raise ValueError("max_failures must be at least 1")
+        if timeout is not None and not timeout > 0:
+            raise ValueError("timeout must be positive")
         self.model = model
         self.store = model.new_store()
         self.rng = random.Random(seed)

@@ -308,9 +308,7 @@ def alldifferent_propagate(self, store: DomainStore) -> Optional[list[int]]:
     """Calls ``remove_bits`` on every unbound scope variable each pass."""
     domains = store.domains
     scope = self.scope
-    base = self._base
-    if base is None:
-        base = self._base = min(domains[x].anchor for x in scope)
+    base = min(domains[x].anchor for x in scope)
     changed: list[int] = []
     while True:
         seen = 0

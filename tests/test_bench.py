@@ -187,6 +187,8 @@ class TestCli:
             ["run", "--bench", "msq:4", "--runs", "-3"],
             ["run", "--bench", "msq:4", "--timeout", "-1"],
             ["run", "--bench", "msq:4", "--timeout", "0"],
+            ["run", "--bench", "msq:4", "--heur", "abs", "--alpha", "nan"],
+            ["run", "--bench", "msq:4", "--heur", "ibs", "--alpha", "inf"],
             ["run", "--bench", "msq:4", "--runs", "1", "--threads", "0"],
             ["run", "--bench", "msq:4", "--runs", "1", "--threads", "-2"],
             ["sweep", "--param", "delta", "--values", "0.2", "--bench", "msq:4",

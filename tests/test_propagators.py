@@ -367,6 +367,7 @@ class TestFirstWrittenFiltering:
             assert got == want
             assert [d.mask for d in ours.domains] == [d.mask for d in theirs.domains]
             assert ours.trail.entries == theirs.trail.entries
+            assert ours.states == {}  # no advice: no state read or written
             free = [x for x in prop.scope if ours.domains[x].size > 1]
             if got is None or not free:
                 break
@@ -379,8 +380,8 @@ class TestFirstWrittenFiltering:
 
 def random_mixed_model(rng):
     """Linear rows (holes, negative coefficients, msq-like wide rows),
-    knapsacks (some domains not 0/1) and alldifferents over shared
-    variables."""
+    knapsacks (some domains not 0/1), alldifferents and binary_less rows
+    over shared variables."""
     m = Model("mixed")
     nvars = rng.randint(3, 8)
     for _ in range(nvars):
@@ -392,9 +393,11 @@ def random_mixed_model(rng):
         else:
             m.add_var(1, rng.randint(2, 20))
     for _ in range(rng.randint(1, 5)):
-        kind = rng.choice(("linear_eq", "linear_leq", "linear_leq", "knapsack", "alldiff"))
+        kind = rng.choice(("linear_eq", "linear_leq", "linear_leq", "knapsack", "alldiff", "less"))
         scope = rng.sample(range(nvars), rng.randint(min(2, nvars), min(6, nvars)))
-        if kind == "knapsack":
+        if kind == "less":
+            m.post(BinaryLess(scope[0], scope[1], strict=rng.random() < 0.5))
+        elif kind == "knapsack":
             weights = [rng.randint(0, 6) for _ in scope]
             m.post(BinaryKnapsackAtmost(weights, scope, rng.randint(0, sum(weights))))
         elif kind == "alldiff":
@@ -413,8 +416,6 @@ def random_mixed_model(rng):
 
 class _Reference:
     """Stateless twin of ``prop`` that runs its first-written loop."""
-
-    stateful = False
 
     def __init__(self, prop):
         self.prop = prop
@@ -443,9 +444,11 @@ class TestStatefulPath:
         rng = random.Random(seed)
         m = random_mixed_model(rng)
         ours, theirs = m.new_store(), m.new_store()
+        # binary_less keeps no state and has no first-written loop: it runs as itself
+        twins = [_Reference(p) if p.kind in REFERENCES else p for p in m.propagators]
         engines = (
             (Engine(m.num_vars, m.propagators), ours),
-            (Engine(m.num_vars, [_Reference(p) for p in m.propagators]), theirs),
+            (Engine(m.num_vars, twins), theirs),
         )
 
         def fixpoint(**kw):
@@ -507,6 +510,17 @@ class TestStatefulPath:
         assert [x, x] in calls
         assert store.domain(x).as_tuple() == (1,)
         assert store.domain(y).as_tuple() == (2, 3)
+
+    @pytest.mark.parametrize("advice", (None, []))
+    def test_alldifferent_on_a_store_with_lower_anchors(self, advice):
+        """One AllDifferent called on two stores: the lowest anchor of the
+        scope comes from the store at hand, not from the first store."""
+        prop = AllDifferent([0, 1])
+        high = DomainStore.from_specs([(5, 3), (5, 3)])  # {5, 6} twice
+        assert prop.propagate(high, advice) == []
+        low = DomainStore.from_specs([(0, 1), (0, 3)])  # {0} and {0, 1}
+        assert prop.propagate(low, advice) == [1]
+        assert low.domain(1).as_tuple() == (1,)
 
 
 class TestOracleEquivalence:

@@ -17,6 +17,7 @@ from fdsearch import (
     build_knapsack_cop,
     build_magic_square,
     check_magic_square,
+    probe_activities,
     solve,
 )
 
@@ -327,3 +328,10 @@ class TestLimits:
     def test_max_failures_below_one_rejected(self, cap):
         with pytest.raises(ValueError):
             solve(build_magic_square(5), "wdeg", seed=0, max_failures=cap)
+
+    @pytest.mark.parametrize("timeout", (float("nan"), 0.0, -1.0))
+    def test_timeout_not_positive_rejected(self, timeout):
+        with pytest.raises(ValueError):
+            solve(build_magic_square(4), "abs", timeout=timeout)
+        with pytest.raises(ValueError):
+            probe_activities(build_magic_square(4), timeout=timeout)
