@@ -93,28 +93,23 @@ class FiniteDomain:
 
 
 class Trail:
-    """Chronological undo logs: (var, old mask) pairs in ``entries`` and
-    (propagator id, old state) pairs in ``state_entries``.
+    """Chronological undo log of (var, old mask) pairs.
 
-    The logs are cut into segments: a new one starts at each ``push``, each
+    The log is cut into segments: a new one starts at each ``push``, each
     ``pop_to`` and each ``segment`` call.  A variable is logged at most once
     per segment, when it first shrinks there, so the entries of a segment
-    list exactly the variables it shrank; a propagator state is likewise
-    logged once per segment, before its first replacement there, but not
-    at level 0.  A level may span several segments and hold several
-    entries for one variable or state; replaying them in reverse
-    reinstalls the oldest last.
+    list exactly the variables it shrank.  A level may span several
+    segments and hold several entries for one variable; replaying them in
+    reverse reinstalls the oldest mask last.
     """
 
-    __slots__ = ("entries", "state_entries", "_marks", "_epoch", "_stamps", "_state_stamps")
+    __slots__ = ("entries", "_marks", "_epoch", "_stamps")
 
     def __init__(self, nvars: int):
         self.entries: list[tuple[int, int]] = []
-        self.state_entries: list[tuple[int, object]] = []
-        self._marks: list[tuple[int, int]] = []  # log lengths at each push
+        self._marks: list[int] = []
         self._epoch = 0
         self._stamps = [-1] * nvars
-        self._state_stamps: dict[int, int] = {}
 
     @property
     def level(self) -> int:
@@ -125,30 +120,20 @@ class Trail:
             self._stamps[x] = self._epoch
             self.entries.append((x, mask))
 
-    def record_state(self, pid: int, state: object) -> None:
-        # nothing restores a root state, so the root logs none
-        if self._marks and self._state_stamps.get(pid) != self._epoch:
-            self._state_stamps[pid] = self._epoch
-            self.state_entries.append((pid, state))
-
     def segment(self) -> int:
         """Start a new segment; returns the index of its first entry."""
         self._epoch += 1
         return len(self.entries)
 
     def push(self) -> int:
-        self._marks.append((self.segment(), len(self.state_entries)))
+        self._marks.append(self.segment())
         return len(self._marks)
 
-    def pop_to(self, k: int, states: dict[int, object]) -> list[tuple[int, int]]:
-        """Drop levels ``k`` and deeper.  Puts the propagator states logged
-        there back into ``states`` and returns the (var, mask) entries (in
-        push order) for the caller to reinstall."""
+    def pop_to(self, k: int) -> list[tuple[int, int]]:
+        """Drop levels ``k`` and deeper; return their entries (in push order)."""
         if not 1 <= k <= self.level:
             raise ValueError(f"cannot restore to level {k} from level {self.level}")
-        target, state_target = self._marks[k - 1]
-        states.update(reversed(self.state_entries[state_target:]))  # oldest last
-        del self.state_entries[state_target:]
+        target = self._marks[k - 1]
         undo = self.entries[target:]
         del self.entries[target:]
         del self._marks[k - 1:]
@@ -162,16 +147,19 @@ class DomainStore:
 
     ``states`` maps a propagator id to the summary of its scope that the
     propagator keeps between engine calls (see ``Engine.propagate``); a
-    missing id means none.  States are replaced, never mutated in place,
-    through ``set_state``, which trails the old one.
+    missing id means none.  ``push_level`` saves a shallow copy of the
+    dict and ``restore_to`` reinstalls it, so a state is replaced by
+    assignment to ``states[pid]``, never mutated in place, and nothing may
+    hold on to ``states`` itself across a restore.
     """
 
-    __slots__ = ("domains", "trail", "states")
+    __slots__ = ("domains", "trail", "states", "_saved_states")
 
     def __init__(self, domains: Sequence[FiniteDomain]):
         self.domains: list[FiniteDomain] = list(domains)
         self.trail = Trail(len(self.domains))
         self.states: dict[int, object] = {}
+        self._saved_states: list[dict[int, object]] = []  # one per level
 
     @classmethod
     def from_specs(cls, specs: Sequence[tuple[int, int]]) -> "DomainStore":
@@ -194,20 +182,19 @@ class DomainStore:
         return self.domains[x]
 
     def push_level(self) -> int:
+        self._saved_states.append(self.states.copy())
         return self.trail.push()
 
     def restore_to(self, k: int) -> None:
         """Rewind every domain and every propagator state to what it was
         when ``push_level`` returned ``k``; leaves the store at level
         ``k - 1``.  Changes made at level 0 (the root) are permanent."""
+        undo = self.trail.pop_to(k)
+        self.states = self._saved_states[k - 1]
+        del self._saved_states[k - 1:]
         domains = self.domains
-        for x, mask in reversed(self.trail.pop_to(k, self.states)):
+        for x, mask in reversed(undo):
             domains[x]._set_mask(mask)
-
-    def set_state(self, pid: int, state: object) -> None:
-        """Replace propagator ``pid``'s state; the old one is trailed."""
-        self.trail.record_state(pid, self.states.get(pid))
-        self.states[pid] = state
 
     # -- shrinking operations; WOULD_EMPTY always leaves the store untouched --
 

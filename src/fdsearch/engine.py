@@ -1,6 +1,8 @@
 """Fixpoint propagation engine: FIFO queue over propagators, advice for
 every watcher of a changed variable, exact affected-variable reporting read
-from the trail segment each call opens."""
+from the trail segment each call opens.  Propagator states are never
+trailed: a failure drops them all, and the store's per-level copies bring
+them back on a restore."""
 
 from __future__ import annotations
 
@@ -75,10 +77,12 @@ class Engine:
 
         Wherever a variable is reported changed, it is also appended to the
         advice list of each watcher, which is passed to that propagator's
-        next call and then emptied.  On failure the states of the
-        propagators whose advice was discarded are dropped too, so a state
-        never lags the domains: the next call rescans, unless a
-        ``restore_to`` brings back an older state first.
+        next call and then emptied.  On failure every propagator state is
+        dropped: the failing propagator may have stored one before it
+        failed, the queued ones lose their advice, and the variables it
+        shrank before the wipeout are advised to no one.  A kept state thus
+        never lags the domains.  Each next call rescans, unless a
+        ``restore_to`` brings back an older set of states first.
         """
         trail = store.trail
         start = trail.segment()
@@ -117,9 +121,8 @@ class Engine:
             changed = props[pid].propagate(store, adv)
             if changed is None:
                 for q in (pid, *queue):
-                    if advice[q]:
-                        advice[q].clear()
-                        store.set_state(q, None)
+                    advice[q].clear()
+                store.states.clear()
                 return PropagationResult(pid, [x for x, _ in trail.entries[start:]])
             if adv:
                 adv.clear()

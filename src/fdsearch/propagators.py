@@ -10,10 +10,13 @@ changed since its previous call (a variable may appear more than once).
 knapsack and ``AllDifferent`` keep a summary of their scope in
 ``store.states[pid]`` between engine calls and bring it up to date from
 the advised variables alone; with no state yet they scan the scope and
-build one.  A call without advice, as from a test, scans the scope and
-neither reads nor writes the state.  Either way the same filtering loop
-runs on the same input, so the result does not depend on which path fed
-it.
+build one.  A state is replaced by assignment, never mutated in place,
+because the store's per-level copies share it.  A stored state is at its
+own fixpoint, so the linear rows and the knapsack return ``[]`` at once
+when the advice moved nothing they prune by.  A call without advice, as
+from a test, scans the scope and neither reads nor writes the state.
+Either way the same filtering loop runs on the same input, so the result
+does not depend on which path fed it.
 """
 
 from __future__ import annotations
@@ -86,12 +89,15 @@ class _Linear(Propagator):
         visits moves; those terms are recomputed between passes, and the
         loop ends at a pass that visits none.
 
-        The state is ``(lo, hi, term_lo, term_hi, heavy)``: the sums, the
-        term bounds, and ``(span, i)`` for the terms with a non-zero span
-        when the state was built, widest first.  Spans only shrink, so a
-        pass walks ``heavy`` only down to the first span at most the smaller
-        slack, and visits, in scope order, the terms met on the way whose
-        current span exceeds it.
+        A <= row prunes by ``lo`` alone, as no span exceeds ``hi - lo``, so
+        its state is ``(lo, term_lo, heavy)``; an equality's is ``(lo, hi,
+        term_lo, term_hi, heavy)``.  ``heavy`` holds ``(span, i, x, |c|)``
+        for the terms with a non-zero span when the state was built, widest
+        first.  Spans only shrink, so a pass walks ``heavy`` only down to
+        the first span at most the smaller slack, and visits, in scope
+        order, the terms met on the way whose span, read from the domain,
+        exceeds it.  A stored state is at its own fixpoint, so a call whose
+        advice moved no term bound the state keeps returns ``[]`` at once.
         """
         domains = store.domains
         cs = self.coeffs
@@ -113,14 +119,16 @@ class _Linear(Propagator):
             lo = sum(term_lo)
             hi = sum(term_hi)
             heavy = sorted(
-                ((term_hi[i] - term_lo[i], i) for i in range(len(xs))
+                ((term_hi[i] - term_lo[i], i, xs[i], abs(cs[i])) for i in range(len(xs))
                  if term_hi[i] > term_lo[i]),
                 reverse=True,
             )
-            shared = False
         else:
-            lo, hi, term_lo, term_hi, heavy = state
-            shared = True  # term_lo/term_hi are still the state's lists
+            if is_eq:
+                lo, hi, term_lo, term_hi, heavy = state
+            else:
+                lo, term_lo, heavy = state
+            moved = False  # the lists are still the state's until a bound moves
             pos = self._pos
             for x in advice:
                 i = pos[x]
@@ -130,36 +138,44 @@ class _Linear(Propagator):
                     tlo, thi = c * d.min, c * d.max
                 else:
                     tlo, thi = c * d.max, c * d.min
-                if tlo != term_lo[i] or thi != term_hi[i]:
-                    if shared:
+                if tlo != term_lo[i] or is_eq and thi != term_hi[i]:
+                    if not moved:
+                        moved = True
                         term_lo = term_lo[:]
-                        term_hi = term_hi[:]
-                        shared = False
+                        if is_eq:
+                            term_hi = term_hi[:]
                     lo += tlo - term_lo[i]
-                    hi += thi - term_hi[i]
                     term_lo[i] = tlo
-                    term_hi[i] = thi
+                    if is_eq:
+                        hi += thi - term_hi[i]
+                        term_hi[i] = thi
+            if not moved:
+                return []
         changed: list[int] = []
         while True:
             slack = b - lo
-            # no span exceeds hi - lo, so a <= row never reaches its >= side
-            surplus = hi - b if is_eq else hi - lo
-            least = slack if slack < surplus else surplus
+            least = slack
+            if is_eq:
+                surplus = hi - b
+                if surplus < slack:
+                    least = surplus
             if least < 0:
                 return None
             wide: list[int] = []
-            for span, i in heavy:
+            for span, i, x, mag in heavy:
                 if span <= least:
                     break
-                if term_hi[i] - term_lo[i] > least:
+                d = domains[x]
+                if mag * (d.max - d.min) > least:
                     wide.append(i)
             if not wide:
                 break
             wide.sort()
             for i in wide:
-                span = term_hi[i] - term_lo[i]
                 c = cs[i]
                 x = xs[i]
+                d = domains[x]
+                span = c * (d.max - d.min) if c > 0 else c * (d.min - d.max)
                 if span > slack:
                     ub_num = slack + term_lo[i]  # c*x <= ub_num
                     if c > 0:
@@ -168,39 +184,34 @@ class _Linear(Propagator):
                         out = store.tighten_min(x, -(-ub_num // c))
                     if out is WOULD_EMPTY:
                         return None
-                if span > surplus:
-                    lb_num = term_hi[i] - surplus  # c*x >= lb_num
+                if is_eq and span > surplus:
+                    lb_num = term_lo[i] + span - surplus  # c*x >= lb_num
                     if c > 0:
                         out = store.tighten_min(x, -(-lb_num // c))
                     else:
                         out = store.tighten_max(x, lb_num // c)
                     if out is WOULD_EMPTY:
                         return None
-            if shared:
-                term_lo = term_lo[:]
-                term_hi = term_hi[:]
-                shared = False
             for i in wide:
                 c = cs[i]
                 x = xs[i]
                 changed.append(x)
                 d = domains[x]
-                lo -= term_lo[i]
-                hi -= term_hi[i]
                 if c > 0:
-                    term_lo[i] = tlo = c * d.min
-                    term_hi[i] = thi = c * d.max
+                    tlo, thi = c * d.min, c * d.max
                 else:
-                    term_lo[i] = tlo = c * d.max
-                    term_hi[i] = thi = c * d.min
-                lo += tlo
-                hi += thi
-        if shared:  # the state read has not moved: it stands
-            return changed
+                    tlo, thi = c * d.max, c * d.min
+                lo += tlo - term_lo[i]
+                term_lo[i] = tlo
+                if is_eq:
+                    hi += thi - term_hi[i]
+                    term_hi[i] = thi
         if len(changed) > 1:
             changed = list(dict.fromkeys(changed))
         if advice is not None:
-            store.set_state(self.pid, (lo, hi, term_lo, term_hi, heavy))
+            store.states[self.pid] = (
+                (lo, hi, term_lo, term_hi, heavy) if is_eq else (lo, term_lo, heavy)
+            )
         return changed
 
     def _dot(self, values: Sequence[int]) -> int:
@@ -299,7 +310,7 @@ class AllDifferent(Propagator):
                         if d.size == 1:
                             fresh.append(x)
         if advice is not None and (state is None or bound != bound0):
-            store.set_state(self.pid, (base, seen, bound))
+            store.states[self.pid] = (base, seen, bound)
         return changed
 
     def satisfied(self, values: Sequence[int]) -> bool:
@@ -343,7 +354,9 @@ class BinaryKnapsackAtmost(Propagator):
 
         The state is ``(mandatory, committed)``: the weight of the items
         fixed to 1 and the bitset of their scope positions, so only the
-        advised items are checked for a new commitment."""
+        advised items are checked for a new commitment.  When the advice
+        commits none, the slack is the stored state's, whose walk already
+        fixed every item heavier than it to 0, so the call returns at once."""
         domains = store.domains
         weights = self.weights
         xs = self.scope
@@ -362,8 +375,10 @@ class BinaryKnapsackAtmost(Propagator):
                 if not committed >> i & 1:
                     committed |= 1 << i
                     mandatory += weights[i]
-        if advice is not None and (state is None or committed != state[1]):
-            store.set_state(self.pid, (mandatory, committed))
+        if advice is not None:
+            if state is not None and committed == state[1]:
+                return []
+            store.states[self.pid] = (mandatory, committed)
         slack = self.capacity - mandatory
         if slack < 0:
             return None

@@ -214,18 +214,21 @@ class TestTrailInternals:
         s.restore_to(k)
         assert s.domain(0).as_tuple() == (1, 2, 3, 4)
 
-    def test_states_logged_once_per_segment_and_restored(self):
+    def test_states_restored_as_of_push(self):
         s = store_of([1, 2, 3])
-        s.set_state(7, "root")
+        s.states[7] = "root"
         k = s.push_level()
-        s.set_state(7, "a")
-        s.set_state(7, "b")  # same segment: "a" is not logged
-        assert s.trail.state_entries == [(7, "root")]  # the root logs none
-        s.trail.segment()
-        s.set_state(7, "c")
-        s.set_state(8, "new")
-        assert s.trail.state_entries == [(7, "root"), (7, "b"), (8, None)]
-        assert s.trail.entries == []  # the mask log holds masks only
+        s.states[7] = "a"
+        s.push_level()
+        s.states[7] = "b"
+        s.states[8] = "new"  # first written after push k
+        s.restore_to(k + 1)
+        assert s.states == {7: "a"}
+        s.states.clear()
         s.restore_to(k)
-        assert s.states == {7: "root", 8: None}
-        assert s.trail.state_entries == []
+        assert s.states == {7: "root"}
+        s.states[7] = "root, again"  # the root keeps what it writes
+        assert s.push_level() == k
+        s.restore_to(k)
+        assert s.states == {7: "root, again"}
+        assert s.trail.entries == []  # the trail logs masks only

@@ -14,6 +14,7 @@ from fdsearch import (
     LinearLeq,
     Model,
 )
+from fdsearch.bench import build_benchmark
 
 from oracles import (
     alldifferent_propagate,
@@ -426,6 +427,29 @@ class _Reference:
         return REFERENCES[self.prop.kind](self.prop, store)
 
 
+def twins(m):
+    """Twin stores of ``m`` and ``fixpoint(**kw)``, which runs
+    ``Engine.propagate`` on ours and on a twin engine whose propagators run
+    the first-written loops, checks that both give the same ``failed`` and
+    ``affected``, the same masks and the same trail, and returns ``ok``."""
+    ours, theirs = m.new_store(), m.new_store()
+    # binary_less keeps no state and has no first-written loop: it runs as itself
+    twin_props = [_Reference(p) if p.kind in REFERENCES else p for p in m.propagators]
+    engines = (
+        (Engine(m.num_vars, m.propagators), ours),
+        (Engine(m.num_vars, twin_props), theirs),
+    )
+
+    def fixpoint(**kw):
+        got, want = (engine.propagate(store, **kw) for engine, store in engines)
+        assert (got.failed, got.affected) == (want.failed, want.affected)
+        assert [d.mask for d in ours.domains] == [d.mask for d in theirs.domains]
+        assert ours.trail.entries == theirs.trail.entries
+        return got.ok
+
+    return ours, theirs, fixpoint
+
+
 class TestStatefulPath:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -436,28 +460,14 @@ class TestStatefulPath:
         ),
     )
     def test_engine_matches_stateless_twin(self, seed, ops):
-        """The engine with advice and trailed states against a twin engine
+        """The engine with advice and saved states against a twin engine
         whose propagators run the first-written loops, over random pushes,
         decision fixpoints (some at level 0, some failing, then restored or
         not), restores and rescanning ``seed_all`` fixpoints: the same
         ``failed`` and ``affected``, the same masks and the same trail."""
         rng = random.Random(seed)
         m = random_mixed_model(rng)
-        ours, theirs = m.new_store(), m.new_store()
-        # binary_less keeps no state and has no first-written loop: it runs as itself
-        twins = [_Reference(p) if p.kind in REFERENCES else p for p in m.propagators]
-        engines = (
-            (Engine(m.num_vars, m.propagators), ours),
-            (Engine(m.num_vars, twins), theirs),
-        )
-
-        def fixpoint(**kw):
-            got, want = (engine.propagate(store, **kw) for engine, store in engines)
-            assert (got.failed, got.affected) == (want.failed, want.affected)
-            assert [d.mask for d in ours.domains] == [d.mask for d in theirs.domains]
-            assert ours.trail.entries == theirs.trail.entries
-            return got.ok
-
+        ours, theirs, fixpoint = twins(m)
         if not fixpoint(seed_all=True):
             return
         for op in ops:
@@ -510,6 +520,77 @@ class TestStatefulPath:
         assert [x, x] in calls
         assert store.domain(x).as_tuple() == (1,)
         assert store.domain(y).as_tuple() == (2, 3)
+
+    def test_states_come_back_on_restore(self):
+        """A ``seed_all`` below the root drops every state, and the restore
+        brings back the root's, so no propagator has to rescan."""
+        m = build_benchmark("knap-csp:1-4")
+        store = m.new_store()
+        engine = Engine(m.num_vars, m.propagators)
+        assert engine.propagate(store, seed_all=True).ok
+        root = dict(store.states)
+        assert len(root) == len(m.propagators) and None not in root.values()
+        k = store.push_level()
+        assert engine.propagate(store, seed_all=True).ok
+        store.restore_to(k)
+        assert store.states == root
+
+    def test_leq_advised_of_fallen_term_maxima_returns_at_once(self):
+        """A <= row prunes by the terms' lower bounds alone: x's max and
+        y's min (the upper bound of the term -y) can fall or rise freely."""
+        m = Model()
+        x, y = m.add_var(0, 5), m.add_var(0, 5)
+        m.post(LinearLeq([1, -1], [x, y], 3))
+        prop = m.propagators[0]
+        store, _, res = run_fixpoint(m)
+        assert res.ok
+        state = store.states[prop.pid]
+        store.tighten_max(x, 4)
+        store.tighten_min(y, 1)
+        assert prop.propagate(store, [x, y]) == []
+        assert store.states[prop.pid] is state
+        store.tighten_max(y, 4)  # raises the lower bound of -y
+        assert prop.propagate(store, [y]) == []
+        assert store.states[prop.pid] is not state
+
+    def test_knapsack_advised_of_items_fixed_to_zero_returns_at_once(self):
+        m = Model()
+        xs = m.add_vars(3, 0, 1)
+        m.post(BinaryKnapsackAtmost([6, 5, 4], xs, 9))
+        prop = m.propagators[0]
+        store, _, res = run_fixpoint(m)
+        assert res.ok
+        state = store.states[prop.pid]
+        store.assign(xs[0], 0)
+        store.assign(xs[2], 0)
+        assert prop.propagate(store, [xs[0], xs[2]]) == []
+        assert store.states[prop.pid] is state
+
+    def test_knapsack_failing_in_its_prune_loop_keeps_no_state(self):
+        """The knapsack stores its state before pruning; when pruning fails,
+        the engine drops it, so a later decision without a restore rescans
+        instead of returning early on the state."""
+        m = Model()
+        a, b, c = m.add_var(0, 1), m.add_var(1, 2), m.add_var(0, 2)
+        m.post(BinaryKnapsackAtmost([5, 5, 1], [a, b, c], 3))  # b cannot be 0
+        ours, _, fixpoint = twins(m)
+        assert not fixpoint(seed_all=True)  # a = 0, then b = 0 wipes out
+        assert ours.states == {}
+        assert not fixpoint(decision=("ne", c, 2))
+
+    def test_failure_drops_the_state_of_an_unscheduled_watcher(self):
+        """A failing propagator fixes ``a`` before it wipes out; the row
+        watching ``a`` is neither scheduled nor advised, so its state would
+        lag ``a`` if it were kept."""
+        m = Model()
+        a, b, t, z = m.add_var(0, 1), m.add_var(1, 2), m.add_var(0, 1), m.add_var(0, 1)
+        m.post(LinearLeq([-1, 1], [a, z], 0))  # z <= a
+        m.post(BinaryKnapsackAtmost([5, 5, 10], [a, b, t], 10))
+        ours, _, fixpoint = twins(m)
+        assert fixpoint(seed_all=True)
+        assert not fixpoint(decision=("eq", t, 1))  # a = 0, then b = 0 wipes out
+        assert ours.states == {}
+        assert not fixpoint(decision=("ne", z, 0))  # z = 1 > a
 
     @pytest.mark.parametrize("advice", (None, []))
     def test_alldifferent_on_a_store_with_lower_anchors(self, advice):

@@ -1,0 +1,78 @@
+"""Exit codes of ``tools/trace_diff.py`` on small hand-written result lines."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("trace_diff", ROOT / "tools" / "trace_diff.py")
+trace_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(trace_diff)
+
+
+def result(metrics):
+    """A result line holding ``{name: (value, unit)}`` metrics."""
+    return {
+        "correct": True, "attempted": 36, "failed": 0,
+        "metrics": {name: {"value": v, "unit": u} for name, (v, u) in metrics.items()},
+    }
+
+
+BASE = {
+    "engine.fixpoints": (1200, "count"),
+    "propagators.linear_leq.prune_ratio": (0.05, "ratio"),
+    "trace.overhead_ratio": (0.5, "ratio"),
+    "engine.self_s": (0.7, "s"),
+}
+
+
+@pytest.fixture
+def write(tmp_path):
+    def write(name, content):
+        path = tmp_path / name
+        if not isinstance(content, str):
+            content = "some log line\n" + json.dumps(content) + "\n\n"
+        path.write_text(content)
+        return str(path)
+
+    return write
+
+
+def test_equal_lines_exit_zero(write, capsys):
+    assert trace_diff.main([write("a", result(BASE)), write("b", result(BASE))]) == 0
+    assert "0 differ" in capsys.readouterr().out
+
+
+def test_a_differing_count_exits_one_and_is_named(write, capsys):
+    moved = {**BASE, "engine.fixpoints": (1201, "count")}
+    assert trace_diff.main([write("a", result(BASE)), write("b", result(moved))]) == 1
+    out = capsys.readouterr().out
+    assert "engine.fixpoints: 1200 -> 1201" in out
+    assert "1 differ" in out
+
+
+def test_times_and_the_overhead_ratio_are_not_compared(write):
+    moved = {**BASE, "trace.overhead_ratio": (0.9, "ratio"), "engine.self_s": (0.4, "s")}
+    assert trace_diff.main([write("a", result(BASE)), write("b", result(moved))]) == 0
+
+
+def test_a_metric_in_one_file_only_exits_one(write, capsys):
+    extra = {**BASE, "search.failures": (7, "count")}
+    assert trace_diff.main([write("a", result(BASE)), write("b", result(extra))]) == 1
+    assert "search.failures: missing -> 7" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("count", (0, 1, 3))
+def test_wrong_argument_count_exits_two(write, count):
+    assert trace_diff.main([write("a", result(BASE))] * count) == 2
+
+
+@pytest.mark.parametrize("content", (None, "", "\n\n", "hello\n", "[1, 2]\n"))
+def test_bad_file_exits_two_naming_it(write, tmp_path, capsys, content):
+    good = write("good", result(BASE))
+    bad = str(tmp_path / "missing") if content is None else write("bad", content)
+    assert trace_diff.main([good, bad]) == 2
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1 and bad in err

@@ -11,7 +11,8 @@ run (the last non-empty line is read).  Every metric whose unit is
 ``attempted`` and ``failed`` fields.  ``trace.overhead_ratio`` is left out:
 it is a quotient of two wall times, so it moves between runs of the same
 code.  Exits 0 when everything compared is equal, 1 after listing the
-names that differ or that only one file has, and 2 on a usage error.
+names that differ or that only one file has, and 2 on a usage error or
+when a file is missing, empty or does not end in a JSON object.
 """
 
 from __future__ import annotations
@@ -24,12 +25,25 @@ TIMED = {"trace.overhead_ratio"}
 FIELDS = ("correct", "attempted", "failed")
 
 
+class BadInput(Exception):
+    pass
+
+
 def load(path: str) -> dict:
-    with open(path) as f:
-        lines = [line for line in f if line.strip()]
+    try:
+        with open(path) as f:
+            lines = [line for line in f if line.strip()]
+    except OSError as exc:
+        raise BadInput(f"{path}: {exc.strerror}") from None
     if not lines:
-        raise ValueError(f"{path}: no result line")
-    return json.loads(lines[-1])
+        raise BadInput(f"{path}: no result line")
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        result = None
+    if not isinstance(result, dict):
+        raise BadInput(f"{path}: the last line is not a JSON object")
+    return result
 
 
 def compared(result: dict) -> dict:
@@ -45,7 +59,11 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    old, new = (compared(load(path)) for path in argv)
+    try:
+        old, new = (compared(load(path)) for path in argv)
+    except BadInput as exc:
+        print(f"trace_diff: {exc}", file=sys.stderr)
+        return 2
     differ = [
         name for name in sorted(old.keys() | new.keys())
         if name not in old or name not in new or old[name] != new[name]
