@@ -3,7 +3,9 @@
 A domain is an anchored bitmask: bit ``i`` of ``mask`` set means the value
 ``anchor + i`` is present.  Python ints are immutable, so a trail snapshot
 is just the old mask reference; restoring a level re-installs saved masks
-in reverse order, which makes restoration exact by construction.
+in reverse order, which makes restoration exact by construction.  The
+store also keeps the propagator states, a copy of them per level, and the
+bounds of each variable that its watchers were last told of.
 """
 
 from __future__ import annotations
@@ -147,19 +149,28 @@ class DomainStore:
 
     ``states`` maps a propagator id to the summary of its scope that the
     propagator keeps between engine calls (see ``Engine.propagate``); a
-    missing id means none.  ``push_level`` saves a shallow copy of the
-    dict and ``restore_to`` reinstalls it, so a state is replaced by
-    assignment to ``states[pid]``, never mutated in place, and nothing may
-    hold on to ``states`` itself across a restore.
+    missing id means none.  ``told_min[x]`` and ``told_max[x]`` are the
+    bounds of ``x`` that its watchers were last advised of.  Together they
+    are what the propagators know of the domains: ``push_level`` saves a
+    shallow copy of the dict and copies of the two lists, and
+    ``restore_to`` reinstalls them.  The told bounds of an undone variable
+    are then its restored bounds, which the restored states hold, or wider
+    ones if a failed fixpoint without a restore left them behind before the
+    push; wider told bounds cost only extra advice.  A state is replaced
+    by assignment to ``states[pid]``, never mutated in place, and nothing
+    may hold on to ``states`` or the told lists across a restore.
     """
 
-    __slots__ = ("domains", "trail", "states", "_saved_states")
+    __slots__ = ("domains", "trail", "states", "told_min", "told_max", "_saved")
 
     def __init__(self, domains: Sequence[FiniteDomain]):
         self.domains: list[FiniteDomain] = list(domains)
         self.trail = Trail(len(self.domains))
         self.states: dict[int, object] = {}
-        self._saved_states: list[dict[int, object]] = []  # one per level
+        self.told_min = [d.min for d in self.domains]
+        self.told_max = [d.max for d in self.domains]
+        # one (states, told_min, told_max) per level
+        self._saved: list[tuple[dict[int, object], list[int], list[int]]] = []
 
     @classmethod
     def from_specs(cls, specs: Sequence[tuple[int, int]]) -> "DomainStore":
@@ -182,19 +193,26 @@ class DomainStore:
         return self.domains[x]
 
     def push_level(self) -> int:
-        self._saved_states.append(self.states.copy())
+        self._saved.append((self.states.copy(), self.told_min[:], self.told_max[:]))
         return self.trail.push()
 
     def restore_to(self, k: int) -> None:
-        """Rewind every domain and every propagator state to what it was
-        when ``push_level`` returned ``k``; leaves the store at level
+        """Rewind every domain, propagator state and told bound to what it
+        was when ``push_level`` returned ``k``; leaves the store at level
         ``k - 1``.  Changes made at level 0 (the root) are permanent."""
         undo = self.trail.pop_to(k)
-        self.states = self._saved_states[k - 1]
-        del self._saved_states[k - 1:]
+        self.states, self.told_min, self.told_max = self._saved[k - 1]
+        del self._saved[k - 1:]
         domains = self.domains
         for x, mask in reversed(undo):
             domains[x]._set_mask(mask)
+
+    def forget_states(self) -> None:
+        """Drop every propagator state and take the current bounds as
+        told, so that each propagator's next engine call rescans."""
+        self.states.clear()
+        self.told_min[:] = [d.min for d in self.domains]
+        self.told_max[:] = [d.max for d in self.domains]
 
     # -- shrinking operations; WOULD_EMPTY always leaves the store untouched --
 

@@ -1,13 +1,14 @@
-"""Fixpoint propagation engine: FIFO queue over propagators, advice for
-every watcher of a changed variable, exact affected-variable reporting read
-from the trail segment each call opens.  Propagator states are never
-trailed: a failure drops them all, and the store's per-level copies bring
-them back on a restore."""
+"""Fixpoint propagation engine: FIFO queue over propagators, every watcher
+of a changed variable scheduled, advice only of variables whose bounds
+moved, no call to a propagator popped with a saved state and no advice,
+exact affected-variable reporting read from the trail segment each call
+opens.  Propagator states are never trailed: a failure drops them all, and
+the store's per-level copies bring them back on a restore."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .domain import DomainStore, SHRUNK, WOULD_EMPTY
 from .propagators import Propagator
@@ -47,17 +48,16 @@ class Engine:
 
     Holds the propagator list, one advice list per propagator (empty
     between calls) and var -> watching propagators; one engine per solve is
-    cheap.  Propagator states live in the store.
+    cheap.  Propagator states and told bounds live in the store.
     """
 
     def __init__(self, nvars: int, propagators: Sequence[Propagator]):
         self.propagators = list(propagators)
         self.advice: list[list[int]] = [[] for _ in self.propagators]
-        # x -> (pid, the append method of pid's advice list) per watcher
-        self.watchers: list[list[tuple[int, Callable]]] = [[] for _ in range(nvars)]
+        self.watchers: list[list[int]] = [[] for _ in range(nvars)]
         for p in self.propagators:
             for x in p.scope:
-                self.watchers[x].append((p.pid, self.advice[p.pid].append))
+                self.watchers[x].append(p.pid)
 
     def propagate(
         self,
@@ -70,67 +70,94 @@ class Engine:
 
         ``decision`` is ("eq", x, v) or ("ne", x, v) and is applied to the
         store first; its own domain change counts toward ``affected``.
-        ``seed_all`` schedules every propagator (root propagation) and drops
-        every propagator state, so each is rebuilt by a scope scan: run it
-        after editing the store directly.  ``extra`` schedules explicit
-        propagator ids (e.g. an objective bound).
+        ``seed_all`` schedules every propagator (root propagation) and makes
+        the store forget every propagator state, so each is rebuilt by a
+        scope scan: run it after editing the store directly.  ``extra``
+        schedules explicit propagator ids (e.g. an objective bound).
 
-        Wherever a variable is reported changed, it is also appended to the
-        advice list of each watcher, which is passed to that propagator's
-        next call and then emptied.  On failure every propagator state is
-        dropped: the failing propagator may have stored one before it
-        failed, the queued ones lose their advice, and the variables it
-        shrank before the wipeout are advised to no one.  A kept state thus
-        never lags the domains.  Each next call rescans, unless a
-        ``restore_to`` brings back an older set of states first.
+        The decision and every ``changed`` list go through one step: each
+        watcher of a changed variable is scheduled, in FIFO order, and if
+        the variable's bounds moved since its watchers were last told
+        (``store.told_min``/``told_max``) it is also appended to each
+        watcher's advice list, which is passed to that propagator's next
+        call and then emptied.  A propagator is not advised of its own
+        changes: its state already holds them.  A popped propagator with
+        no advice and a saved state is not called: every stateful
+        propagator filters on bounds and fixedness alone, and its state is
+        at its own fixpoint, so the call would return ``[]`` and write
+        nothing.  Skipping it leaves the queue, every store call and the
+        trail as they were.
+
+        On failure every propagator state is dropped: the failing
+        propagator may have stored one before it failed, the queued ones
+        lose their advice, and the variables it shrank before the wipeout
+        are advised to no one.  A kept state thus never lags the domains.
+        Each next call rescans, unless a ``restore_to`` brings back an older
+        set of states first.
         """
         trail = store.trail
         start = trail.segment()
         props = self.propagators
         watchers = self.watchers
         advice = self.advice
+        domains = store.domains
+        told_min = store.told_min
+        told_max = store.told_max
         queue: deque[int] = deque()
         scheduled = bytearray(len(props))
+        seeds: Sequence[int] = extra
+        if seed_all:
+            store.forget_states()
+            seeds = range(len(props))
+        states = store.states
 
+        changed: Sequence[int] = ()
         if decision is not None:
             kind, x, v = decision
             out = store.assign(x, v) if kind == "eq" else store.remove_value(x, v)
             if out is WOULD_EMPTY:
                 return PropagationResult(DECISION, [])
             if out is SHRUNK:
-                for q, advise in watchers[x]:  # the queue is empty: each is new
-                    advise(x)
-                    scheduled[q] = 1
-                    queue.append(q)
-        if seed_all:
-            store.states.clear()
-            for p in props:
-                scheduled[p.pid] = 1
-                queue.append(p.pid)
-        for pid in extra:
-            if not scheduled[pid]:
-                scheduled[pid] = 1
-                queue.append(pid)
+                changed = (x,)
 
         pop = queue.popleft
         push = queue.append
-        while queue:
-            pid = pop()
-            scheduled[pid] = 0
-            adv = advice[pid]
+        adv: list[int] = []
+        while True:
+            for x in changed:
+                d = domains[x]
+                if d.min != told_min[x] or d.max != told_max[x]:
+                    told_min[x] = d.min
+                    told_max[x] = d.max
+                    for q in watchers[x]:
+                        advice[q].append(x)
+                        if not scheduled[q]:
+                            scheduled[q] = 1
+                            push(q)
+                else:
+                    for q in watchers[x]:
+                        if not scheduled[q]:
+                            scheduled[q] = 1
+                            push(q)
+            if adv:
+                adv.clear()  # the propagator that made these changes
+            if seeds:
+                for q in seeds:
+                    if not scheduled[q]:
+                        scheduled[q] = 1
+                        push(q)
+                seeds = ()
+            while queue:
+                pid = pop()
+                scheduled[pid] = 0
+                adv = advice[pid]
+                if adv or pid not in states:
+                    break
+            else:
+                return PropagationResult(None, [x for x, _ in trail.entries[start:]])
             changed = props[pid].propagate(store, adv)
             if changed is None:
                 for q in (pid, *queue):
                     advice[q].clear()
-                store.states.clear()
+                states.clear()
                 return PropagationResult(pid, [x for x, _ in trail.entries[start:]])
-            if adv:
-                adv.clear()
-            for x in changed:
-                for q, advise in watchers[x]:
-                    advise(x)
-                    if not scheduled[q]:
-                        scheduled[q] = 1
-                        push(q)
-
-        return PropagationResult(None, [x for x, _ in trail.entries[start:]])

@@ -203,7 +203,11 @@ class ImpactSearch(SearchHeuristic):
         self.impact: dict[tuple[int, int], float] = {}
 
     def initialize(self, solver) -> bool:
+        """Probe every root assignment.  The root changes only when a probe
+        fails and its value is shaved, so its log size is computed once and
+        again after each shave."""
         store = solver.store
+        log_root = store.search_space_log_size()
         for x in self.model.branch_vars:
             d = store.domains[x]
             if d.size <= 1:
@@ -213,12 +217,11 @@ class ImpactSearch(SearchHeuristic):
                     break
                 if a not in d:
                     continue  # shaved away by an earlier failed probe
-                log_before = store.search_space_log_size()
                 level = store.push_level()
                 res = solver.propagate(("eq", x, a))
                 solver.stats.probes += 1
                 if res.ok:
-                    impact = 1.0 - math.exp(store.search_space_log_size() - log_before)
+                    impact = 1.0 - math.exp(store.search_space_log_size() - log_root)
                     store.restore_to(level)
                     self.impact[(x, a)] = impact
                 else:
@@ -226,6 +229,7 @@ class ImpactSearch(SearchHeuristic):
                     self.impact[(x, a)] = 1.0
                     if not solver.propagate(("ne", x, a)).ok:
                         return False  # shaving emptied a root domain
+                    log_root = store.search_space_log_size()
         return True
 
     def variable_score(self, x: int, store: DomainStore) -> float:

@@ -4,19 +4,23 @@
 or None on failure (a wipeout); the store is left untouched by the op that
 would have emptied a domain, so the caller's trail stays consistent.
 
-The engine passes every propagator ``advice``: the scope variables that
-changed since its previous call (a variable may appear more than once).
-``BinaryLess`` and ``ObjectiveBound`` ignore it.  The linear rows, the
-knapsack and ``AllDifferent`` keep a summary of their scope in
-``store.states[pid]`` between engine calls and bring it up to date from
-the advised variables alone; with no state yet they scan the scope and
-build one.  A state is replaced by assignment, never mutated in place,
-because the store's per-level copies share it.  A stored state is at its
-own fixpoint, so the linear rows and the knapsack return ``[]`` at once
-when the advice moved nothing they prune by.  A call without advice, as
-from a test, scans the scope and neither reads nor writes the state.
-Either way the same filtering loop runs on the same input, so the result
-does not depend on which path fed it.
+The engine passes every propagator ``advice``: the scope variables whose
+bounds moved since its previous call, other than by its own changes (a
+variable may appear more than once).  ``ObjectiveBound`` ignores it.  The
+linear rows, the knapsack and ``AllDifferent`` keep a summary of their
+scope in ``store.states[pid]`` between engine calls and bring it up to
+date from the advised variables alone; with no state yet they scan the
+scope and build one.  ``BinaryLess`` keeps a marker.  A state is replaced
+by assignment, never mutated in place, because the store's per-level
+copies share it.  A stored state is at its own fixpoint, so the linear
+rows and the knapsack return ``[]`` at once when the advice moved nothing
+they prune by, and the engine does not call a propagator with a state
+and no advice.  That is exact because every propagator that keeps a
+state filters on bounds and fixedness only, which an interior removal
+leaves as they were.  A call without advice, as from a test, scans the
+scope and neither reads nor writes the state.  Either way the same
+filtering loop runs on the same input, so the result does not depend on
+which path fed it.
 """
 
 from __future__ import annotations
@@ -425,9 +429,14 @@ class BinaryLess(Propagator):
     def propagate(
         self, store: DomainStore, advice: Optional[list[int]] = None
     ) -> Optional[list[int]]:
+        """Idempotent, so with advice it stores a marker state that lets
+        the engine skip its next call when no bound of x or y moved.  On
+        failure the engine drops the marker."""
         x, y = self.scope
         off = 1 if self.strict else 0
         domains = store.domains
+        if advice is not None:
+            store.states[self.pid] = True
         changed: list[int] = []
         out = store.tighten_max(x, domains[y].max - off)
         if out is WOULD_EMPTY:

@@ -114,6 +114,7 @@ class _Solver:
         if timeout is not None and not timeout > 0:
             raise ValueError("timeout must be positive")
         self.model = model
+        self.branch_vars = model.branch_vars  # a fresh list per read when unset
         self.store = model.new_store()
         self.rng = random.Random(seed)
         self.all_solutions = all_solutions
@@ -210,7 +211,7 @@ class _Solver:
 
     def _free_vars(self) -> list[int]:
         domains = self.store.domains
-        return [x for x in self.model.branch_vars if domains[x].size > 1]
+        return [x for x in self.branch_vars if domains[x].size > 1]
 
     def _try_branch(self, kind: str, x: int, v: int) -> bool:
         """Push a level, post the branch, propagate, feed the heuristic.
@@ -240,7 +241,7 @@ class _Solver:
         store = self.store
         heur = self.heuristic
         stats = self.stats
-        limits = self.restart_policy.round_limits(len(self.model.branch_vars))
+        limits = self.restart_policy.round_limits(len(self.branch_vars))
         self._round_end = next(limits)
         pending: list[tuple[int, int, int]] = []  # (level before push, x, v)
 

@@ -3,13 +3,16 @@
 Everything here evaluates constraint semantics directly from propagator
 parameters (kind, coefficients, bounds); none of it calls the library's
 filtering code, so agreement is meaningful.  The reference filtering loops
-at the end change domains only through ``DomainStore``'s shrink operations.
+at the end change domains only through ``DomainStore``'s shrink operations,
+and ``ReferenceEngine`` runs any propagators to a fixpoint the way the
+first-written engine did.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from typing import Optional
 
 from fdsearch import (
@@ -22,6 +25,7 @@ from fdsearch import (
     Model,
 )
 from fdsearch.domain import SHRUNK, WOULD_EMPTY
+from fdsearch.engine import DECISION, PropagationResult
 
 Domains = list[set[int]]
 
@@ -360,3 +364,60 @@ def knapsack_propagate(self, store: DomainStore) -> Optional[list[int]]:
             if out is SHRUNK:
                 changed.append(x)
     return changed
+
+
+class ReferenceEngine:
+    """The first-written fixpoint loop, with ``Engine.propagate``'s
+    signature: every change of a variable advises and schedules each of its
+    watchers (FIFO, each queued at most once), every popped propagator is
+    called with the advice gathered since its previous call, ``seed_all``
+    and a failure drop every propagator state.  It never reads the told
+    bounds, so it can check an engine that skips calls on them."""
+
+    def __init__(self, nvars: int, propagators):
+        self.propagators = list(propagators)
+        self.watchers: list[list[int]] = [[] for _ in range(nvars)]
+        for p in self.propagators:
+            for x in p.scope:
+                self.watchers[x].append(p.pid)
+
+    def propagate(self, store: DomainStore, decision=None, seed_all=False, extra=()):
+        start = store.trail.segment()
+        queue: deque[int] = deque()
+        advice: dict[int, list[int]] = {p.pid: [] for p in self.propagators}
+
+        def schedule(pid: int) -> None:
+            if pid not in queue:
+                queue.append(pid)
+
+        def changed_var(x: int) -> None:
+            for q in self.watchers[x]:
+                advice[q].append(x)
+                schedule(q)
+
+        def affected() -> list[int]:
+            return [x for x, _ in store.trail.entries[start:]]
+
+        if decision is not None:
+            kind, x, v = decision
+            out = store.assign(x, v) if kind == "eq" else store.remove_value(x, v)
+            if out is WOULD_EMPTY:
+                return PropagationResult(DECISION, [])
+            if out is SHRUNK:
+                changed_var(x)
+        if seed_all:
+            store.states.clear()
+            for p in self.propagators:
+                schedule(p.pid)
+        for pid in extra:
+            schedule(pid)
+        while queue:
+            pid = queue.popleft()
+            adv, advice[pid] = advice[pid], []
+            changed = self.propagators[pid].propagate(store, adv)
+            if changed is None:
+                store.states.clear()
+                return PropagationResult(pid, affected())
+            for x in changed:
+                changed_var(x)
+        return PropagationResult(None, affected())

@@ -21,6 +21,7 @@ from oracles import (
     exact_filter,
     knapsack_propagate,
     linear_propagate,
+    ReferenceEngine,
     random_csp,
     random_domain,
     random_propagator_instance,
@@ -382,8 +383,25 @@ class TestFirstWrittenFiltering:
 def random_mixed_model(rng):
     """Linear rows (holes, negative coefficients, msq-like wide rows),
     knapsacks (some domains not 0/1), alldifferents and binary_less rows
-    over shared variables."""
+    over shared variables.  Often also an alldifferent over wide domains
+    with rows on the same variables, whose removals are mostly interior,
+    and a knapsack that fixes an item to 0 before it wipes out on another,
+    with a row watching the fixed item."""
     m = Model("mixed")
+    if rng.random() < 0.5:
+        k = rng.randint(3, 5)
+        xs = [m.add_var(1, rng.randint(k, 12)) for _ in range(k)]
+        m.post(AllDifferent(xs))
+        for _ in range(rng.randint(1, 2)):
+            scope = rng.sample(xs, rng.randint(2, k))
+            coeffs = [rng.choice((1, 1, 2, -1)) for _ in scope]
+            rhs = sum(c * rng.randint(1, k) for c in coeffs) + rng.randint(-2, 2)
+            m.post((LinearEq if rng.random() < 0.5 else LinearLeq)(coeffs, scope, rhs))
+    if rng.random() < 0.3:
+        a, b, t, z = m.add_var(0, 1), m.add_var(1, 2), m.add_var(0, 1), m.add_var(0, 1)
+        m.post(LinearLeq([-1, 1], [a, z], 0))  # z <= a
+        w = rng.randint(3, 6)
+        m.post(BinaryKnapsackAtmost([w, w, 2 * w], [a, b, t], 2 * w))  # t = 1 fails
     nvars = rng.randint(3, 8)
     for _ in range(nvars):
         shape = rng.random()
@@ -395,7 +413,7 @@ def random_mixed_model(rng):
             m.add_var(1, rng.randint(2, 20))
     for _ in range(rng.randint(1, 5)):
         kind = rng.choice(("linear_eq", "linear_leq", "linear_leq", "knapsack", "alldiff", "less"))
-        scope = rng.sample(range(nvars), rng.randint(min(2, nvars), min(6, nvars)))
+        scope = rng.sample(range(m.num_vars), rng.randint(2, min(6, m.num_vars)))
         if kind == "less":
             m.post(BinaryLess(scope[0], scope[1], strict=rng.random() < 0.5))
         elif kind == "knapsack":
@@ -428,26 +446,32 @@ class _Reference:
 
 
 def twins(m):
-    """Twin stores of ``m`` and ``fixpoint(**kw)``, which runs
-    ``Engine.propagate`` on ours and on a twin engine whose propagators run
-    the first-written loops, checks that both give the same ``failed`` and
-    ``affected``, the same masks and the same trail, and returns ``ok``."""
-    ours, theirs = m.new_store(), m.new_store()
-    # binary_less keeps no state and has no first-written loop: it runs as itself
+    """Three stores of ``m`` and ``fixpoint(**kw)``, which runs ``Engine``
+    with the stateful propagators on ours and ``ReferenceEngine`` with the
+    first-written loops on theirs, checks that both give the same
+    ``failed`` and ``affected`` (in order), the same masks and the same
+    trail, and returns ``ok``.  A third store runs ``ReferenceEngine`` with
+    the stateful propagators, which calls every propagator ``Engine``
+    skips: it must end with the same states as ours, so every skipped call
+    would have written nothing."""
+    ours, theirs, called = m.new_store(), m.new_store(), m.new_store()
+    # binary_less has no first-written loop: it runs as itself
     twin_props = [_Reference(p) if p.kind in REFERENCES else p for p in m.propagators]
     engines = (
         (Engine(m.num_vars, m.propagators), ours),
-        (Engine(m.num_vars, twin_props), theirs),
+        (ReferenceEngine(m.num_vars, twin_props), theirs),
+        (ReferenceEngine(m.num_vars, m.propagators), called),
     )
 
     def fixpoint(**kw):
-        got, want = (engine.propagate(store, **kw) for engine, store in engines)
+        got, want, _ = (engine.propagate(store, **kw) for engine, store in engines)
         assert (got.failed, got.affected) == (want.failed, want.affected)
         assert [d.mask for d in ours.domains] == [d.mask for d in theirs.domains]
         assert ours.trail.entries == theirs.trail.entries
+        assert ours.states == called.states
         return got.ok
 
-    return ours, theirs, fixpoint
+    return (ours, theirs, called), fixpoint
 
 
 class TestStatefulPath:
@@ -455,43 +479,60 @@ class TestStatefulPath:
     @given(
         seed=st.integers(0, 2**32 - 1),
         ops=st.lists(
-            st.sampled_from(("push", "fixpoint", "fixpoint", "fixpoint", "restore", "restore_1", "seed_all")),
+            st.sampled_from(
+                ("push", "fixpoint", "fixpoint", "fixpoint", "probe", "restore", "restore_1", "seed_all")
+            ),
             max_size=40,
         ),
     )
     def test_engine_matches_stateless_twin(self, seed, ops):
-        """The engine with advice and saved states against a twin engine
-        whose propagators run the first-written loops, over random pushes,
-        decision fixpoints (some at level 0, some failing, then restored or
-        not), restores and rescanning ``seed_all`` fixpoints: the same
-        ``failed`` and ``affected``, the same masks and the same trail."""
+        """The engine with advice and saved states against the first-written
+        engine loop with the first-written propagator loops, over random
+        pushes, decision fixpoints (some at level 0, some failing, then
+        restored or not, some probes restored at once, often repeating the
+        previous decision), restores and rescanning ``seed_all`` fixpoints:
+        the same ``failed`` and ``affected``, the same masks and the same
+        trail, and the states of a first-written loop over the stateful
+        propagators."""
         rng = random.Random(seed)
         m = random_mixed_model(rng)
-        ours, theirs, fixpoint = twins(m)
+        stores, fixpoint = twins(m)
+        ours = stores[0]
         if not fixpoint(seed_all=True):
             return
+        last = None
         for op in ops:
             if op == "push":
-                ours.push_level()
-                theirs.push_level()
+                for store in stores:
+                    store.push_level()
             elif op.startswith("restore"):
                 if ours.level:
                     k = 1 if op == "restore_1" else rng.randint(1, ours.level)
-                    ours.restore_to(k)
-                    theirs.restore_to(k)
+                    for store in stores:
+                        store.restore_to(k)
             elif op == "seed_all":
                 fixpoint(seed_all=True)
             else:
                 free = [x for x, d in enumerate(ours.domains) if d.size > 1]
                 if not free:
                     continue
-                x = rng.choice(free)
-                v = rng.choice(ours.domains[x].as_tuple())
-                if not fixpoint(decision=(rng.choice(("eq", "ne")), x, v)):
-                    if ours.level and rng.random() < 0.8:
-                        ours.restore_to(ours.level)
-                        theirs.restore_to(theirs.level)
-            assert [d.mask for d in ours.domains] == [d.mask for d in theirs.domains]
+                # often the previous decision again, as probes repeat after a restore
+                if last and last[1] in free and last[2] in ours.domains[last[1]] and rng.random() < 0.5:
+                    decision = last
+                else:
+                    x = rng.choice(free)
+                    decision = (rng.choice(("eq", "ne")), x, rng.choice(ours.domains[x].as_tuple()))
+                last = decision
+                if op == "probe":
+                    for store in stores:
+                        store.push_level()
+                ok = fixpoint(decision=decision)
+                if op == "probe" or not ok and ours.level and rng.random() < 0.8:
+                    for store in stores:
+                        store.restore_to(store.level)
+            for store in stores[1:]:
+                assert [d.mask for d in ours.domains] == [d.mask for d in store.domains]
+            assert ours.states == stores[2].states
 
     def test_variable_advised_twice_counts_once(self):
         """Two rows shrink x in turn in one fixpoint, so the alldifferent is
@@ -573,7 +614,7 @@ class TestStatefulPath:
         m = Model()
         a, b, c = m.add_var(0, 1), m.add_var(1, 2), m.add_var(0, 2)
         m.post(BinaryKnapsackAtmost([5, 5, 1], [a, b, c], 3))  # b cannot be 0
-        ours, _, fixpoint = twins(m)
+        (ours, *_), fixpoint = twins(m)
         assert not fixpoint(seed_all=True)  # a = 0, then b = 0 wipes out
         assert ours.states == {}
         assert not fixpoint(decision=("ne", c, 2))
@@ -586,7 +627,7 @@ class TestStatefulPath:
         a, b, t, z = m.add_var(0, 1), m.add_var(1, 2), m.add_var(0, 1), m.add_var(0, 1)
         m.post(LinearLeq([-1, 1], [a, z], 0))  # z <= a
         m.post(BinaryKnapsackAtmost([5, 5, 10], [a, b, t], 10))
-        ours, _, fixpoint = twins(m)
+        (ours, *_), fixpoint = twins(m)
         assert fixpoint(seed_all=True)
         assert not fixpoint(decision=("eq", t, 1))  # a = 0, then b = 0 wipes out
         assert ours.states == {}
@@ -602,6 +643,90 @@ class TestStatefulPath:
         low = DomainStore.from_specs([(0, 1), (0, 3)])  # {0} and {0, 1}
         assert prop.propagate(low, advice) == [1]
         assert low.domain(1).as_tuple() == (1,)
+
+
+def spied(m, calls):
+    """``m``'s propagators, each wrapped to append ``(pid, advice)`` to
+    ``calls`` before it runs."""
+
+    class Spy:
+        def __init__(self, prop):
+            self.prop, self.pid, self.scope = prop, prop.pid, prop.scope
+
+        def propagate(self, store, advice=None):
+            calls.append((self.pid, None if advice is None else list(advice)))
+            return self.prop.propagate(store, advice)
+
+    return [Spy(p) for p in m.propagators]
+
+
+class TestToldBounds:
+    def test_interior_removal_schedules_without_advice(self):
+        """w = 5 makes the alldifferent remove 5 from the middle of x, which
+        schedules the rows r, q and s on x in that order without advice.
+        Then the first row moves the bounds of u and y, which advises q of
+        u and r of y in their places, ahead of s: the first-written loop
+        calls r before q too, where pushing them afresh would call q first.
+        s is never advised, and neither the alldifferent nor the first row
+        is advised of its own changes, so none of the three is called."""
+        m = Model()
+        w, x, u, y, v = m.add_var(1, 9), m.add_var(1, 9), m.add_var(0, 9), m.add_var(0, 9), m.add_var(0, 9)
+        m.post(AllDifferent([w, x]))
+        m.post(LinearLeq([1, 1, 1], [w, u, y], 9))
+        r = m.post(LinearLeq([1, 1], [x, y], 20))
+        q = m.post(LinearLeq([1, 1], [x, u], 20))
+        s = m.post(LinearLeq([1, -1], [x, v], 9))
+        runs = {}
+        for name, cls in (("ours", Engine), ("first", ReferenceEngine)):
+            calls = []
+            store = m.new_store()
+            engine = cls(m.num_vars, spied(m, calls))
+            assert engine.propagate(store, seed_all=True).ok
+            calls.clear()
+            assert engine.propagate(store, decision=("eq", w, 5)).ok
+            assert store.domain(x).as_tuple() == (1, 2, 3, 4, 6, 7, 8, 9)
+            runs[name] = calls
+        assert runs["ours"] == [(0, [w]), (1, [w]), (r, [y]), (q, [u])]
+        assert runs["first"] == [
+            (0, [w]), (1, [w]), (0, [x]), (r, [x, y]), (q, [x, u]), (s, [x]), (1, [u, y]),
+        ]
+
+    def test_bound_move_undone_by_a_restore_is_advised_again(self):
+        """A probe moves x's min and is restored; the same probe again must
+        advise the row, or y would keep its old max."""
+        m = Model()
+        x, y = m.add_var(0, 9), m.add_var(0, 9)
+        row = m.post(LinearEq([1, 1], [x, y], 9))
+        calls = []
+        store = m.new_store()
+        engine = Engine(m.num_vars, spied(m, calls))
+        assert engine.propagate(store, seed_all=True).ok
+        for _ in range(2):
+            calls.clear()
+            k = store.push_level()
+            assert engine.propagate(store, decision=("ne", x, 0)).ok
+            assert calls == [(row, [x])]
+            assert store.domain(y).max == 8
+            store.restore_to(k)
+            assert (store.told_min[x], store.domain(y).max) == (0, 9)
+
+    def test_seed_all_takes_the_current_bounds_as_told(self):
+        """After a direct store edit, a ``seed_all`` fixpoint rescans with
+        the edited bounds, so an interior removal from x is not advised."""
+        m = Model()
+        x, y = m.add_var(0, 9), m.add_var(0, 9)
+        m.post(LinearEq([1, 1], [x, y], 9))
+        calls = []
+        store = m.new_store()
+        engine = Engine(m.num_vars, spied(m, calls))
+        assert engine.propagate(store, seed_all=True).ok
+        store.tighten_max(x, 5)
+        assert store.told_max[x] == 9
+        assert engine.propagate(store, seed_all=True).ok
+        assert (store.told_max[x], store.domain(y).min) == (5, 4)
+        calls.clear()
+        assert engine.propagate(store, decision=("ne", x, 3)).ok
+        assert calls == []
 
 
 class TestOracleEquivalence:
