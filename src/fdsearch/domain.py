@@ -4,8 +4,8 @@ A domain is an anchored bitmask: bit ``i`` of ``mask`` set means the value
 ``anchor + i`` is present.  Python ints are immutable, so a trail snapshot
 is just the old mask reference; restoring a level re-installs saved masks
 in reverse order, which makes restoration exact by construction.  The
-store also keeps the propagator states, a copy of them per level, and the
-bounds of each variable that its watchers were last told of.
+store also keeps the propagator states, a copy of them per level, and a
+mark per variable whose bounds moved since its watchers were last advised.
 """
 
 from __future__ import annotations
@@ -149,28 +149,27 @@ class DomainStore:
 
     ``states`` maps a propagator id to the summary of its scope that the
     propagator keeps between engine calls (see ``Engine.propagate``); a
-    missing id means none.  ``told_min[x]`` and ``told_max[x]`` are the
-    bounds of ``x`` that its watchers were last advised of.  Together they
-    are what the propagators know of the domains: ``push_level`` saves a
-    shallow copy of the dict and copies of the two lists, and
-    ``restore_to`` reinstalls them.  The told bounds of an undone variable
-    are then its restored bounds, which the restored states hold, or wider
-    ones if a failed fixpoint without a restore left them behind before the
-    push; wider told bounds cost only extra advice.  A state is replaced
-    by assignment to ``states[pid]``, never mutated in place, and nothing
-    may hold on to ``states`` or the told lists across a restore.
+    missing id means none.  ``push_level`` saves a shallow copy of the
+    dict and ``restore_to`` reinstalls it, so a state is replaced by
+    assignment to ``states[pid]``, never mutated in place, and nothing may
+    hold on to ``states`` across a restore.
+
+    ``moved[x]`` is set by the shrink operation that moves a bound of
+    ``x``: ``tighten_min``, ``tighten_max`` and ``assign`` always, and
+    ``remove_value`` and ``remove_bits`` only when they cut the min or the
+    max.  The engine clears it when it advises the watchers of ``x``, and
+    ``forget_states`` clears every mark, so every mark is 0 between engine
+    calls unless the store was edited directly.
     """
 
-    __slots__ = ("domains", "trail", "states", "told_min", "told_max", "_saved")
+    __slots__ = ("domains", "trail", "states", "moved", "_saved")
 
     def __init__(self, domains: Sequence[FiniteDomain]):
         self.domains: list[FiniteDomain] = list(domains)
         self.trail = Trail(len(self.domains))
         self.states: dict[int, object] = {}
-        self.told_min = [d.min for d in self.domains]
-        self.told_max = [d.max for d in self.domains]
-        # one (states, told_min, told_max) per level
-        self._saved: list[tuple[dict[int, object], list[int], list[int]]] = []
+        self.moved = bytearray(len(self.domains))
+        self._saved: list[dict[int, object]] = []  # one states copy per level
 
     @classmethod
     def from_specs(cls, specs: Sequence[tuple[int, int]]) -> "DomainStore":
@@ -193,26 +192,25 @@ class DomainStore:
         return self.domains[x]
 
     def push_level(self) -> int:
-        self._saved.append((self.states.copy(), self.told_min[:], self.told_max[:]))
+        self._saved.append(self.states.copy())
         return self.trail.push()
 
     def restore_to(self, k: int) -> None:
-        """Rewind every domain, propagator state and told bound to what it
-        was when ``push_level`` returned ``k``; leaves the store at level
-        ``k - 1``.  Changes made at level 0 (the root) are permanent."""
+        """Rewind every domain and propagator state to what it was when
+        ``push_level`` returned ``k``; leaves the store at level ``k - 1``.
+        Changes made at level 0 (the root) are permanent."""
         undo = self.trail.pop_to(k)
-        self.states, self.told_min, self.told_max = self._saved[k - 1]
+        self.states = self._saved[k - 1]
         del self._saved[k - 1:]
         domains = self.domains
         for x, mask in reversed(undo):
             domains[x]._set_mask(mask)
 
     def forget_states(self) -> None:
-        """Drop every propagator state and take the current bounds as
-        told, so that each propagator's next engine call rescans."""
+        """Drop every propagator state and clear every mark, so that each
+        propagator's next engine call rescans."""
         self.states.clear()
-        self.told_min[:] = [d.min for d in self.domains]
-        self.told_max[:] = [d.max for d in self.domains]
+        self.moved[:] = bytes(len(self.moved))
 
     # -- shrinking operations; WOULD_EMPTY always leaves the store untouched --
 
@@ -224,6 +222,8 @@ class DomainStore:
         if d.size == 1:
             return WOULD_EMPTY
         self.trail.record(x, d.mask)
+        if v == d.min or v == d.max:
+            self.moved[x] = 1
         d._set_mask(d.mask & ~(1 << i))
         return SHRUNK
 
@@ -236,7 +236,10 @@ class DomainStore:
         if new == 0:
             return WOULD_EMPTY
         self.trail.record(x, d.mask)
+        lo, hi = d.min, d.max
         d._set_mask(new)
+        if d.min != lo or d.max != hi:
+            self.moved[x] = 1
         return SHRUNK
 
     def assign(self, x: VarId, v: int) -> ChangeOutcome:
@@ -247,6 +250,7 @@ class DomainStore:
         if d.size == 1:
             return UNCHANGED
         self.trail.record(x, d.mask)
+        self.moved[x] = 1
         d._set_mask(1 << i)
         return SHRUNK
 
@@ -257,6 +261,7 @@ class DomainStore:
         if lb > d.max:
             return WOULD_EMPTY
         self.trail.record(x, d.mask)
+        self.moved[x] = 1
         d._set_mask(d.mask & ~((1 << (lb - d.anchor)) - 1))
         return SHRUNK
 
@@ -267,6 +272,7 @@ class DomainStore:
         if ub < d.min:
             return WOULD_EMPTY
         self.trail.record(x, d.mask)
+        self.moved[x] = 1
         d._set_mask(d.mask & ((1 << (ub - d.anchor + 1)) - 1))
         return SHRUNK
 

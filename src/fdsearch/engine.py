@@ -1,9 +1,10 @@
 """Fixpoint propagation engine: FIFO queue over propagators, every watcher
 of a changed variable scheduled, advice only of variables whose bounds
-moved, no call to a propagator popped with a saved state and no advice,
-exact affected-variable reporting read from the trail segment each call
-opens.  Propagator states are never trailed: a failure drops them all, and
-the store's per-level copies bring them back on a restore."""
+moved (``store.moved``), no call to a propagator popped with a saved state
+and no advice, exact affected-variable reporting read from the trail
+segment each call opens.  Propagator states are never trailed: a failure
+drops them all, and the store's per-level copies bring them back on a
+restore."""
 
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ class Engine:
 
     Holds the propagator list, one advice list per propagator (empty
     between calls) and var -> watching propagators; one engine per solve is
-    cheap.  Propagator states and told bounds live in the store.
+    cheap.  Propagator states and bound-moved marks live in the store.
     """
 
     def __init__(self, nvars: int, propagators: Sequence[Propagator]):
@@ -71,27 +72,29 @@ class Engine:
         ``decision`` is ("eq", x, v) or ("ne", x, v) and is applied to the
         store first; its own domain change counts toward ``affected``.
         ``seed_all`` schedules every propagator (root propagation) and makes
-        the store forget every propagator state, so each is rebuilt by a
-        scope scan: run it after editing the store directly.  ``extra``
-        schedules explicit propagator ids (e.g. an objective bound).
+        the store forget every propagator state and mark, so each state is
+        rebuilt by a scope scan: run it after editing the store directly.
+        ``extra`` schedules explicit propagator ids (e.g. an objective
+        bound).
 
         The decision and every ``changed`` list go through one step: each
         watcher of a changed variable is scheduled, in FIFO order, and if
-        the variable's bounds moved since its watchers were last told
-        (``store.told_min``/``told_max``) it is also appended to each
-        watcher's advice list, which is passed to that propagator's next
-        call and then emptied.  A propagator is not advised of its own
-        changes: its state already holds them.  A popped propagator with
-        no advice and a saved state is not called: every stateful
-        propagator filters on bounds and fixedness alone, and its state is
-        at its own fixpoint, so the call would return ``[]`` and write
-        nothing.  Skipping it leaves the queue, every store call and the
-        trail as they were.
+        the variable's mark ``store.moved[x]`` is set (its bounds moved
+        since its watchers were last advised) the mark is cleared and the
+        variable is appended to each watcher's advice list, which is passed
+        to that propagator's next call and then emptied.  A propagator is
+        not advised of its own changes: its state already holds them.  A
+        popped propagator with no advice and a saved state is not called:
+        every stateful propagator filters on bounds and fixedness alone,
+        and its state is at its own fixpoint, so the call would return
+        ``[]`` and write nothing.  Skipping it leaves the queue, every store
+        call and the trail as they were.
 
-        On failure every propagator state is dropped: the failing
-        propagator may have stored one before it failed, the queued ones
-        lose their advice, and the variables it shrank before the wipeout
-        are advised to no one.  A kept state thus never lags the domains.
+        On failure every propagator state and mark is dropped: the failing
+        propagator may have stored a state before it failed, the queued
+        ones lose their advice, and the variables it shrank before the
+        wipeout are advised to no one.  A kept state thus never lags the
+        domains, and every mark is 0 when the call returns.
         Each next call rescans, unless a ``restore_to`` brings back an older
         set of states first.
         """
@@ -100,9 +103,7 @@ class Engine:
         props = self.propagators
         watchers = self.watchers
         advice = self.advice
-        domains = store.domains
-        told_min = store.told_min
-        told_max = store.told_max
+        moved = store.moved
         queue: deque[int] = deque()
         scheduled = bytearray(len(props))
         seeds: Sequence[int] = extra
@@ -125,10 +126,8 @@ class Engine:
         adv: list[int] = []
         while True:
             for x in changed:
-                d = domains[x]
-                if d.min != told_min[x] or d.max != told_max[x]:
-                    told_min[x] = d.min
-                    told_max[x] = d.max
+                if moved[x]:
+                    moved[x] = 0
                     for q in watchers[x]:
                         advice[q].append(x)
                         if not scheduled[q]:
@@ -159,5 +158,5 @@ class Engine:
             if changed is None:
                 for q in (pid, *queue):
                     advice[q].clear()
-                states.clear()
+                store.forget_states()
                 return PropagationResult(pid, [x for x, _ in trail.entries[start:]])

@@ -7,7 +7,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .domain import DomainStore, FiniteDomain, VarId
-from .propagators import Propagator
+from .propagators import BinaryKnapsackAtmost, Propagator
 
 
 class ModelError(ValueError):
@@ -106,6 +106,14 @@ class Model:
             for x in p.scope:
                 if not 0 <= x < len(self._specs):
                     raise ModelError(f"propagator {pid} scope out of range")
+            if isinstance(p, BinaryKnapsackAtmost):
+                for x in p.scope:
+                    d = self.initial_domain(x)
+                    if d.min < 0 or d.max > 1:
+                        raise ModelError(
+                            f"propagator {pid} ({p.kind}) needs 0/1 items, but variable "
+                            f"{x} ({self.var_names[x]}) has domain {d}"
+                        )
         if self.objective is not None:
             var, direction = self.objective
             if direction not in ("max", "min"):

@@ -1,26 +1,25 @@
 """Propagators: contracting, sound filters over a DomainStore.
 
-``propagate(store, advice=None)`` returns the list of variables it shrank,
-or None on failure (a wipeout); the store is left untouched by the op that
+``propagate(store, advice)`` returns the list of variables it shrank, or
+None on failure (a wipeout); the store is left untouched by the op that
 would have emptied a domain, so the caller's trail stays consistent.
 
-The engine passes every propagator ``advice``: the scope variables whose
-bounds moved since its previous call, other than by its own changes (a
-variable may appear more than once).  ``ObjectiveBound`` ignores it.  The
-linear rows, the knapsack and ``AllDifferent`` keep a summary of their
-scope in ``store.states[pid]`` between engine calls and bring it up to
-date from the advised variables alone; with no state yet they scan the
-scope and build one.  ``BinaryLess`` keeps a marker.  A state is replaced
-by assignment, never mutated in place, because the store's per-level
-copies share it.  A stored state is at its own fixpoint, so the linear
-rows and the knapsack return ``[]`` at once when the advice moved nothing
-they prune by, and the engine does not call a propagator with a state
-and no advice.  That is exact because every propagator that keeps a
-state filters on bounds and fixedness only, which an interior removal
-leaves as they were.  A call without advice, as from a test, scans the
-scope and neither reads nor writes the state.  Either way the same
-filtering loop runs on the same input, so the result does not depend on
-which path fed it.
+``advice`` lists the scope variables whose bounds moved since the
+propagator's previous call, other than by its own changes (a variable may
+appear more than once).  ``ObjectiveBound`` ignores it.  The linear rows,
+the knapsack and ``AllDifferent`` keep a summary of their scope in
+``store.states[pid]`` between calls and bring it up to date from the
+advised variables alone; with no state yet they scan the scope and build
+one.  ``BinaryLess`` keeps a marker.  A state is replaced by assignment,
+never mutated in place, because the store's per-level copies share it.  A
+stored state is at its own fixpoint, so the linear rows and the knapsack
+return ``[]`` at once when the advice moved nothing they prune by, and the
+engine does not call a propagator with a state and no advice.  That is
+exact because every propagator that keeps a state filters on bounds and
+fixedness only, which an interior removal leaves as they were.  A direct
+call, as from a test, reads and writes ``store.states`` as an engine call
+does: it passes ``[]`` on a store with no state for the propagator, and
+after narrowing the store itself, the variables whose bounds it moved.
 """
 
 from __future__ import annotations
@@ -46,9 +45,7 @@ class Propagator:
         self.scope = scope
         self._pos = {x: i for i, x in enumerate(scope)}
 
-    def propagate(
-        self, store: DomainStore, advice: Optional[list[int]] = None
-    ) -> Optional[list[int]]:
+    def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
         raise NotImplementedError
 
     def satisfied(self, values: Sequence[int]) -> bool:
@@ -75,9 +72,7 @@ class _Linear(Propagator):
         self.coeffs = coeffs
         self.rhs = rhs
 
-    def propagate(
-        self, store: DomainStore, advice: Optional[list[int]] = None
-    ) -> Optional[list[int]]:
+    def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
         """Tighten every term against the others' bounds until nothing moves.
 
         Each pass is Jacobi: all its tightenings use the ``lo``/``hi`` sums
@@ -108,7 +103,7 @@ class _Linear(Propagator):
         xs = self.scope
         b = self.rhs
         is_eq = self.is_eq
-        state = None if advice is None else store.states.get(self.pid)
+        state = store.states.get(self.pid)
         if state is None:
             term_lo: list[int] = []
             term_hi: list[int] = []
@@ -212,10 +207,9 @@ class _Linear(Propagator):
                     term_hi[i] = thi
         if len(changed) > 1:
             changed = list(dict.fromkeys(changed))
-        if advice is not None:
-            store.states[self.pid] = (
-                (lo, hi, term_lo, term_hi, heavy) if is_eq else (lo, term_lo, heavy)
-            )
+        store.states[self.pid] = (
+            (lo, hi, term_lo, term_hi, heavy) if is_eq else (lo, term_lo, heavy)
+        )
         return changed
 
     def _dot(self, values: Sequence[int]) -> int:
@@ -254,9 +248,7 @@ class AllDifferent(Propagator):
     kind = "alldifferent"
     __slots__ = ()
 
-    def propagate(
-        self, store: DomainStore, advice: Optional[list[int]] = None
-    ) -> Optional[list[int]]:
+    def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
         """Each pass takes the variables bound since the last pass (the
         whole scope on a scan, the advice with a state), checks their values
         against ``seen`` and removes the new values from the free domains.
@@ -273,7 +265,7 @@ class AllDifferent(Propagator):
         domains = store.domains
         scope = self.scope
         pos = self._pos
-        state = None if advice is None else store.states.get(self.pid)
+        state = store.states.get(self.pid)
         if state is None:
             base = min(domains[x].anchor for x in scope)
             seen = bound = 0
@@ -313,7 +305,7 @@ class AllDifferent(Propagator):
                         changed.append(x)
                         if d.size == 1:
                             fresh.append(x)
-        if advice is not None and (state is None or bound != bound0):
+        if state is None or bound != bound0:
             store.states[self.pid] = (base, seen, bound)
         return changed
 
@@ -347,9 +339,7 @@ class BinaryKnapsackAtmost(Propagator):
         self.capacity = capacity
         self._heavy_first = sorted(range(len(weights)), key=lambda i: -weights[i])
 
-    def propagate(
-        self, store: DomainStore, advice: Optional[list[int]] = None
-    ) -> Optional[list[int]]:
+    def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
         """Only items heavier than the slack can be pruned, so the scan for
         them walks the items heaviest first and stops at the first one that
         fits.  The pruned items are then assigned 0 in scope order, so the
@@ -365,7 +355,7 @@ class BinaryKnapsackAtmost(Propagator):
         weights = self.weights
         xs = self.scope
         pos = self._pos
-        state = None if advice is None else store.states.get(self.pid)
+        state = store.states.get(self.pid)
         if state is None:
             mandatory = committed = 0
             fresh = xs
@@ -379,10 +369,9 @@ class BinaryKnapsackAtmost(Propagator):
                 if not committed >> i & 1:
                     committed |= 1 << i
                     mandatory += weights[i]
-        if advice is not None:
-            if state is not None and committed == state[1]:
-                return []
-            store.states[self.pid] = (mandatory, committed)
+        if state is not None and committed == state[1]:
+            return []
+        store.states[self.pid] = (mandatory, committed)
         slack = self.capacity - mandatory
         if slack < 0:
             return None
@@ -426,17 +415,14 @@ class BinaryLess(Propagator):
         super().__init__([x, y])
         self.strict = strict
 
-    def propagate(
-        self, store: DomainStore, advice: Optional[list[int]] = None
-    ) -> Optional[list[int]]:
-        """Idempotent, so with advice it stores a marker state that lets
-        the engine skip its next call when no bound of x or y moved.  On
-        failure the engine drops the marker."""
+    def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
+        """Idempotent, so it stores a marker state that lets the engine
+        skip its next call when no bound of x or y moved.  On failure the
+        engine drops the marker."""
         x, y = self.scope
         off = 1 if self.strict else 0
         domains = store.domains
-        if advice is not None:
-            store.states[self.pid] = True
+        store.states[self.pid] = True
         changed: list[int] = []
         out = store.tighten_max(x, domains[y].max - off)
         if out is WOULD_EMPTY:
@@ -473,9 +459,7 @@ class ObjectiveBound(Propagator):
     def update(self, incumbent: int) -> None:
         self.bound = incumbent + 1 if self.maximize else incumbent - 1
 
-    def propagate(
-        self, store: DomainStore, advice: Optional[list[int]] = None
-    ) -> Optional[list[int]]:
+    def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
         if self.bound is None:
             return []
         x = self.scope[0]

@@ -49,6 +49,9 @@ def holds(prop, values: dict[int, int]) -> bool:
     if kind == "binary_less":
         x, y = prop.scope
         return values[x] < values[y] if prop.strict else values[x] <= values[y]
+    if kind == "not_equal":  # a user propagator of the tests
+        x, y = prop.scope
+        return values[x] != values[y]
     raise ValueError(f"no oracle for {kind}")
 
 
@@ -241,7 +244,8 @@ def random_propagator_instance(rng: random.Random, kind: str):
 # and ``BinaryKnapsackAtmost`` before they learned to skip store calls that
 # cannot change anything.  Called as ``reference(prop, store)``, each must
 # leave the same masks and trail and return the same list, in the same
-# order, as ``prop.propagate(store)``.
+# order, as ``prop.propagate(store, advice)`` with the advice that an engine
+# call would pass.
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -371,8 +375,8 @@ class ReferenceEngine:
     signature: every change of a variable advises and schedules each of its
     watchers (FIFO, each queued at most once), every popped propagator is
     called with the advice gathered since its previous call, ``seed_all``
-    and a failure drop every propagator state.  It never reads the told
-    bounds, so it can check an engine that skips calls on them."""
+    and a failure drop every propagator state.  It never reads the
+    bound-moved marks, so it can check an engine that skips calls on them."""
 
     def __init__(self, nvars: int, propagators):
         self.propagators = list(propagators)
@@ -406,7 +410,7 @@ class ReferenceEngine:
             if out is SHRUNK:
                 changed_var(x)
         if seed_all:
-            store.states.clear()
+            store.forget_states()
             for p in self.propagators:
                 schedule(p.pid)
         for pid in extra:
@@ -416,7 +420,7 @@ class ReferenceEngine:
             adv, advice[pid] = advice[pid], []
             changed = self.propagators[pid].propagate(store, adv)
             if changed is None:
-                store.states.clear()
+                store.forget_states()
                 return PropagationResult(pid, affected())
             for x in changed:
                 changed_var(x)

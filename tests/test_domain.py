@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdsearch import ChangeOutcome, DomainStore, FiniteDomain
 from fdsearch.domain import Trail
@@ -194,6 +195,54 @@ class TestTrailRoundTrip:
                 k = min(snapshots)
                 s.restore_to(k)
                 assert [d.mask for d in s.domains] == snapshots[k]
+
+
+SHRINK_OPS = ("remove_value", "remove_bits", "assign", "tighten_min", "tighten_max")
+
+
+class TestBoundMovedMarks:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.lists(st.sets(st.integers(-4, 8), min_size=1), min_size=1, max_size=3),
+        marks=st.lists(st.booleans(), min_size=3, max_size=3),
+        op=st.sampled_from(SHRINK_OPS),
+        x=st.integers(0, 2),
+        arg=st.integers(-6, 10),
+        bits=st.integers(0, 2**13 - 1),
+    )
+    def test_set_iff_a_bound_moved(self, values, marks, op, x, arg, bits):
+        """Each shrink operation marks ``x`` if and only if it moved the min
+        or the max, and touches no mark on UNCHANGED and WOULD_EMPTY; a set
+        mark stays set."""
+        s = store_of(*values)
+        x %= len(values)
+        s.moved[:] = bytes(marks[: len(values)])
+        before = bytearray(s.moved)
+        d = s.domain(x)
+        lo, hi = d.min, d.max
+        out = getattr(s, op)(x, bits if op == "remove_bits" else arg)
+        if out is ChangeOutcome.SHRUNK and (d.min, d.max) != (lo, hi):
+            before[x] = 1
+        assert s.moved == before
+
+    def test_interior_removals_leave_the_mark_clear(self):
+        s = store_of([1, 2, 3, 4, 5])
+        assert s.remove_value(0, 3) is ChangeOutcome.SHRUNK
+        assert s.remove_bits(0, 0b1010) is ChangeOutcome.SHRUNK  # 2 and 4
+        assert s.domain(0).as_tuple() == (1, 5) and s.moved[0] == 0
+        assert s.remove_bits(0, 0b10001) is ChangeOutcome.WOULD_EMPTY
+        assert s.remove_value(0, 5) is ChangeOutcome.SHRUNK
+        assert s.moved[0] == 1
+
+    def test_forget_states_clears_every_mark_and_restore_none(self):
+        s = store_of([1, 2, 3], [1, 2, 3])
+        s.states[0] = "state"
+        k = s.push_level()
+        s.tighten_min(0, 2)
+        s.restore_to(k)
+        assert s.moved == bytearray([1, 0]) and s.states == {0: "state"}
+        s.forget_states()
+        assert s.moved == bytearray(2) and s.states == {}
 
 
 class TestTrailInternals:

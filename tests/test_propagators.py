@@ -13,12 +13,16 @@ from fdsearch import (
     LinearEq,
     LinearLeq,
     Model,
+    Propagator,
+    solve,
 )
 from fdsearch.bench import build_benchmark
+from fdsearch.domain import SHRUNK, WOULD_EMPTY
 
 from oracles import (
     alldifferent_propagate,
     exact_filter,
+    generate_and_test,
     knapsack_propagate,
     linear_propagate,
     ReferenceEngine,
@@ -357,27 +361,31 @@ class TestFirstWrittenFiltering:
         """Each propagator against its first-written loop on twin stores, over
         a few rounds of push, propagate and a random narrowing: the same
         returned list in the same order (or both None), the same masks and
-        the same trail entries, partial ones on failure included."""
+        the same trail entries, partial ones on failure included.  The
+        first call scans the scope and builds the state; each later one is
+        advised of the narrowed variable and updates the state."""
         rng = random.Random(seed)
         prop, specs = random_filtering_case(rng, kind)
         ours, theirs = DomainStore.from_specs(specs), DomainStore.from_specs(specs)
+        advice = []
         for _ in range(3):
             ours.push_level()
             theirs.push_level()
-            got = prop.propagate(ours)
+            got = prop.propagate(ours, advice)
             want = REFERENCES[kind](prop, theirs)
             assert got == want
             assert [d.mask for d in ours.domains] == [d.mask for d in theirs.domains]
             assert ours.trail.entries == theirs.trail.entries
-            assert ours.states == {}  # no advice: no state read or written
             free = [x for x in prop.scope if ours.domains[x].size > 1]
             if got is None or not free:
                 break
+            assert prop.pid in ours.states
             x = rng.choice(free)
             v = rng.choice(ours.domains[x].as_tuple())
             op = rng.choice(("assign", "remove_value"))
             getattr(ours, op)(x, v)
             getattr(theirs, op)(x, v)
+            advice = [x]
 
 
 def random_mixed_model(rng):
@@ -386,50 +394,81 @@ def random_mixed_model(rng):
     over shared variables.  Often also an alldifferent over wide domains
     with rows on the same variables, whose removals are mostly interior,
     and a knapsack that fixes an item to 0 before it wipes out on another,
-    with a row watching the fixed item."""
+    with a row watching the fixed item.
+
+    One value per variable is planted, and each constraint holds for the
+    planted values unless it is one of the about one in five drawn freely,
+    so that most models survive the root fixpoint and reach decisions."""
+    free = 0.2
     m = Model("mixed")
+    plant: list[int] = []
+
+    def var(values, value=None):
+        plant.append(rng.choice(values) if value is None else value)
+        return m.add_var_values(values)
+
+    def planted_rhs(coeffs, scope):
+        if rng.random() < free:
+            return sum(c * rng.choice(m.initial_domain(x).as_tuple())
+                       for c, x in zip(coeffs, scope)) + rng.randint(-3, 3)
+        return sum(c * plant[x] for c, x in zip(coeffs, scope))
+
     if rng.random() < 0.5:
         k = rng.randint(3, 5)
-        xs = [m.add_var(1, rng.randint(k, 12)) for _ in range(k)]
+        his = [rng.randint(k, 12) for _ in range(k)]
+        xs = [var(range(1, hi + 1), v) for hi, v in zip(his, rng.sample(range(1, k + 1), k))]
         m.post(AllDifferent(xs))
         for _ in range(rng.randint(1, 2)):
             scope = rng.sample(xs, rng.randint(2, k))
             coeffs = [rng.choice((1, 1, 2, -1)) for _ in scope]
-            rhs = sum(c * rng.randint(1, k) for c in coeffs) + rng.randint(-2, 2)
-            m.post((LinearEq if rng.random() < 0.5 else LinearLeq)(coeffs, scope, rhs))
+            rhs = planted_rhs(coeffs, scope)
+            if rng.random() < 0.5:
+                m.post(LinearEq(coeffs, scope, rhs))
+            else:
+                m.post(LinearLeq(coeffs, scope, rhs + rng.randint(0, 2)))
     if rng.random() < 0.3:
-        a, b, t, z = m.add_var(0, 1), m.add_var(1, 2), m.add_var(0, 1), m.add_var(0, 1)
+        a, b, t = var([0, 1]), var([1, 2]), var([0, 1], 0)
+        z = var([0, 1], rng.randint(0, plant[a]))
         m.post(LinearLeq([-1, 1], [a, z], 0))  # z <= a
         w = rng.randint(3, 6)
         m.post(BinaryKnapsackAtmost([w, w, 2 * w], [a, b, t], 2 * w))  # t = 1 fails
-    nvars = rng.randint(3, 8)
-    for _ in range(nvars):
+    for _ in range(rng.randint(3, 8)):
         shape = rng.random()
         if shape < 0.35:
-            m.add_var_values(rng.choice(([0, 1], [0, 1], [0, 1], [0], [1], [1, 2], [0, 2], [0, 1, 2])))
+            var(rng.choice(([0, 1], [0, 1], [0, 1], [0], [1], [1, 2], [0, 2], [0, 1, 2])))
         elif shape < 0.7:
-            m.add_var_values(random_domain(rng, lo=-4, hi=7, max_size=6))
+            var(random_domain(rng, lo=-4, hi=7, max_size=6))
         else:
-            m.add_var(1, rng.randint(2, 20))
+            var(range(1, rng.randint(2, 20) + 1))
     for _ in range(rng.randint(1, 5)):
         kind = rng.choice(("linear_eq", "linear_leq", "linear_leq", "knapsack", "alldiff", "less"))
         scope = rng.sample(range(m.num_vars), rng.randint(2, min(6, m.num_vars)))
+        planted = rng.random() >= free
         if kind == "less":
-            m.post(BinaryLess(scope[0], scope[1], strict=rng.random() < 0.5))
+            x, y = sorted(scope[:2], key=plant.__getitem__) if planted else scope[:2]
+            m.post(BinaryLess(x, y, strict=plant[x] < plant[y] if planted else rng.random() < 0.5))
         elif kind == "knapsack":
             weights = [rng.randint(0, 6) for _ in scope]
-            m.post(BinaryKnapsackAtmost(weights, scope, rng.randint(0, sum(weights))))
+            if planted:  # an item planted at v >= 1 fits in the slack
+                cap = sum(w * max(plant[x], 0) for w, x in zip(weights, scope)) + rng.randint(0, 2)
+            else:
+                cap = rng.randint(0, sum(weights))
+            m.post(BinaryKnapsackAtmost(weights, scope, cap))
         elif kind == "alldiff":
-            m.post(AllDifferent(scope))
+            if planted:  # one variable per planted value
+                scope = list({plant[x]: x for x in scope}.values())
+            if len(scope) > 1:
+                m.post(AllDifferent(scope))
         else:
             if rng.random() < 0.3:
                 coeffs = [1] * len(scope)
             else:
                 coeffs = [rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)) for _ in scope]
-            rhs = sum(
-                c * rng.choice(m.initial_domain(x).as_tuple()) for c, x in zip(coeffs, scope)
-            ) + rng.randint(-3, 3)
-            m.post((LinearEq if kind == "linear_eq" else LinearLeq)(coeffs, scope, rhs))
+            rhs = planted_rhs(coeffs, scope)
+            if kind == "linear_eq":
+                m.post(LinearEq(coeffs, scope, rhs))
+            else:
+                m.post(LinearLeq(coeffs, scope, rhs + rng.randint(0, 3)))
     return m
 
 
@@ -441,7 +480,7 @@ class _Reference:
         self.pid = prop.pid
         self.scope = prop.scope
 
-    def propagate(self, store, advice=None):
+    def propagate(self, store, advice):
         return REFERENCES[self.prop.kind](self.prop, store)
 
 
@@ -450,12 +489,13 @@ def twins(m):
     with the stateful propagators on ours and ``ReferenceEngine`` with the
     first-written loops on theirs, checks that both give the same
     ``failed`` and ``affected`` (in order), the same masks and the same
-    trail, and returns ``ok``.  A third store runs ``ReferenceEngine`` with
-    the stateful propagators, which calls every propagator ``Engine``
-    skips: it must end with the same states as ours, so every skipped call
-    would have written nothing."""
+    trail, that no bound-moved mark is left on ours, and returns ``ok``.
+    A third store runs ``ReferenceEngine`` with the stateful propagators,
+    which calls every propagator ``Engine`` skips: it must end with the
+    same states as ours, so every skipped call would have written
+    nothing."""
     ours, theirs, called = m.new_store(), m.new_store(), m.new_store()
-    # binary_less has no first-written loop: it runs as itself
+    # binary_less and user propagators have no first-written loop: they run as themselves
     twin_props = [_Reference(p) if p.kind in REFERENCES else p for p in m.propagators]
     engines = (
         (Engine(m.num_vars, m.propagators), ours),
@@ -469,70 +509,75 @@ def twins(m):
         assert [d.mask for d in ours.domains] == [d.mask for d in theirs.domains]
         assert ours.trail.entries == theirs.trail.entries
         assert ours.states == called.states
+        assert not any(ours.moved)
         return got.ok
 
     return (ours, theirs, called), fixpoint
 
 
+TWIN_OPS = st.lists(
+    st.sampled_from(
+        ("push", "fixpoint", "fixpoint", "fixpoint", "probe", "restore", "restore_1", "seed_all")
+    ),
+    max_size=40,
+)
+
+
+def run_twin_ops(m, rng, ops):
+    """Runs ``ops`` on the ``twins(m)`` stores after a root fixpoint: pushes,
+    decision fixpoints (some at level 0, some failing, then restored or
+    not, some probes restored at once, often repeating the previous
+    decision), restores and rescanning ``seed_all`` fixpoints."""
+    stores, fixpoint = twins(m)
+    ours = stores[0]
+    if not fixpoint(seed_all=True):
+        return
+    last = None
+    for op in ops:
+        if op == "push":
+            for store in stores:
+                store.push_level()
+        elif op.startswith("restore"):
+            if ours.level:
+                k = 1 if op == "restore_1" else rng.randint(1, ours.level)
+                for store in stores:
+                    store.restore_to(k)
+        elif op == "seed_all":
+            fixpoint(seed_all=True)
+        else:
+            free = [x for x, d in enumerate(ours.domains) if d.size > 1]
+            if not free:
+                continue
+            # often the previous decision again, as probes repeat after a restore
+            if last and last[1] in free and last[2] in ours.domains[last[1]] and rng.random() < 0.5:
+                decision = last
+            else:
+                x = rng.choice(free)
+                decision = (rng.choice(("eq", "ne")), x, rng.choice(ours.domains[x].as_tuple()))
+            last = decision
+            if op == "probe":
+                for store in stores:
+                    store.push_level()
+            ok = fixpoint(decision=decision)
+            if op == "probe" or not ok and ours.level and rng.random() < 0.8:
+                for store in stores:
+                    store.restore_to(store.level)
+        for store in stores[1:]:
+            assert [d.mask for d in ours.domains] == [d.mask for d in store.domains]
+        assert ours.states == stores[2].states
+
+
 class TestStatefulPath:
     @settings(max_examples=300, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        ops=st.lists(
-            st.sampled_from(
-                ("push", "fixpoint", "fixpoint", "fixpoint", "probe", "restore", "restore_1", "seed_all")
-            ),
-            max_size=40,
-        ),
-    )
+    @given(seed=st.integers(0, 2**32 - 1), ops=TWIN_OPS)
     def test_engine_matches_stateless_twin(self, seed, ops):
         """The engine with advice and saved states against the first-written
         engine loop with the first-written propagator loops, over random
-        pushes, decision fixpoints (some at level 0, some failing, then
-        restored or not, some probes restored at once, often repeating the
-        previous decision), restores and rescanning ``seed_all`` fixpoints:
-        the same ``failed`` and ``affected``, the same masks and the same
-        trail, and the states of a first-written loop over the stateful
-        propagators."""
+        ops (``run_twin_ops``): the same ``failed`` and ``affected``, the
+        same masks and the same trail, and the states of a first-written
+        loop over the stateful propagators."""
         rng = random.Random(seed)
-        m = random_mixed_model(rng)
-        stores, fixpoint = twins(m)
-        ours = stores[0]
-        if not fixpoint(seed_all=True):
-            return
-        last = None
-        for op in ops:
-            if op == "push":
-                for store in stores:
-                    store.push_level()
-            elif op.startswith("restore"):
-                if ours.level:
-                    k = 1 if op == "restore_1" else rng.randint(1, ours.level)
-                    for store in stores:
-                        store.restore_to(k)
-            elif op == "seed_all":
-                fixpoint(seed_all=True)
-            else:
-                free = [x for x, d in enumerate(ours.domains) if d.size > 1]
-                if not free:
-                    continue
-                # often the previous decision again, as probes repeat after a restore
-                if last and last[1] in free and last[2] in ours.domains[last[1]] and rng.random() < 0.5:
-                    decision = last
-                else:
-                    x = rng.choice(free)
-                    decision = (rng.choice(("eq", "ne")), x, rng.choice(ours.domains[x].as_tuple()))
-                last = decision
-                if op == "probe":
-                    for store in stores:
-                        store.push_level()
-                ok = fixpoint(decision=decision)
-                if op == "probe" or not ok and ours.level and rng.random() < 0.8:
-                    for store in stores:
-                        store.restore_to(store.level)
-            for store in stores[1:]:
-                assert [d.mask for d in ours.domains] == [d.mask for d in store.domains]
-            assert ours.states == stores[2].states
+        run_twin_ops(random_mixed_model(rng), rng, ops)
 
     def test_variable_advised_twice_counts_once(self):
         """Two rows shrink x in turn in one fixpoint, so the alldifferent is
@@ -546,8 +591,8 @@ class TestStatefulPath:
         class Spy(AllDifferent):
             __slots__ = ()
 
-            def propagate(self, store, advice=None):
-                calls.append(None if advice is None else list(advice))
+            def propagate(self, store, advice):
+                calls.append(list(advice))
                 return super().propagate(store, advice)
 
         m.post(Spy([x, y]))
@@ -633,15 +678,14 @@ class TestStatefulPath:
         assert ours.states == {}
         assert not fixpoint(decision=("ne", z, 0))  # z = 1 > a
 
-    @pytest.mark.parametrize("advice", (None, []))
-    def test_alldifferent_on_a_store_with_lower_anchors(self, advice):
+    def test_alldifferent_on_a_store_with_lower_anchors(self):
         """One AllDifferent called on two stores: the lowest anchor of the
         scope comes from the store at hand, not from the first store."""
         prop = AllDifferent([0, 1])
         high = DomainStore.from_specs([(5, 3), (5, 3)])  # {5, 6} twice
-        assert prop.propagate(high, advice) == []
+        assert prop.propagate(high, []) == []
         low = DomainStore.from_specs([(0, 1), (0, 3)])  # {0} and {0, 1}
-        assert prop.propagate(low, advice) == [1]
+        assert prop.propagate(low, []) == [1]
         assert low.domain(1).as_tuple() == (1,)
 
 
@@ -653,11 +697,82 @@ def spied(m, calls):
         def __init__(self, prop):
             self.prop, self.pid, self.scope = prop, prop.pid, prop.scope
 
-        def propagate(self, store, advice=None):
-            calls.append((self.pid, None if advice is None else list(advice)))
+        def propagate(self, store, advice):
+            calls.append((self.pid, list(advice)))
             return self.prop.propagate(store, advice)
 
     return [Spy(p) for p in m.propagators]
+
+
+class NotEqual(Propagator):
+    """x != y, a propagator of the user's own: it keeps no state, ignores
+    its advice and removes a fixed side's value from the other side."""
+
+    kind = "not_equal"
+    __slots__ = ()
+
+    def __init__(self, x, y):
+        super().__init__([x, y])
+
+    def propagate(self, store, advice):
+        for x, y in (self.scope, self.scope[::-1]):
+            d = store.domains[x]
+            if d.size == 1:
+                out = store.remove_value(y, d.min)
+                if out is WOULD_EMPTY:
+                    return None
+                return [y] if out is SHRUNK else []
+        return []
+
+    def satisfied(self, values):
+        x, y = self.scope
+        return values[x] != values[y]
+
+
+def post_not_equals(rng, m, k):
+    for _ in range(k):
+        if m.num_vars > 1:
+            m.post(NotEqual(*rng.sample(range(m.num_vars), 2)))
+    return m
+
+
+class TestUserPropagator:
+    @pytest.mark.parametrize("heur", ("abs", "ibs", "wdeg"))
+    def test_all_solutions_match_generate_and_test(self, heur):
+        rng = random.Random(7)
+        for _ in range(60):
+            m = post_not_equals(rng, random_csp(rng), rng.randint(1, 4))
+            stats = solve(m, heur, seed=rng.randrange(100), all_solutions=True)
+            assert set(stats.all_solutions) == generate_and_test(m)
+            assert len(stats.all_solutions) == len(set(stats.all_solutions))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ops=TWIN_OPS)
+    def test_engine_matches_twin_beside_linear_rows(self, seed, ops):
+        """``run_twin_ops`` over mixed models with a few NotEqual rows,
+        which run as themselves on every store."""
+        rng = random.Random(seed)
+        run_twin_ops(post_not_equals(rng, random_mixed_model(rng), rng.randint(1, 3)), rng, ops)
+
+    def test_called_on_every_pop_with_empty_advice(self):
+        """x = 2 makes ``x != y`` remove 2 from the middle of y, which
+        schedules ``x != y`` itself, ``y != z`` and a row on y and z with
+        no advice: the two stateless propagators are called with ``[]``,
+        the row, which has a state, is not called."""
+        m = Model()
+        x, y, z = m.add_var(1, 3), m.add_var(0, 4), m.add_var(0, 4)
+        p = m.post(NotEqual(x, y))
+        q = m.post(NotEqual(y, z))
+        m.post(LinearLeq([1, 1], [y, z], 8))
+        calls = []
+        store = m.new_store()
+        engine = Engine(m.num_vars, spied(m, calls))
+        assert engine.propagate(store, seed_all=True).ok
+        assert calls == [(0, []), (1, []), (2, [])]
+        calls.clear()
+        assert engine.propagate(store, decision=("eq", x, 2)).ok
+        assert store.domain(y).as_tuple() == (0, 1, 3, 4)
+        assert calls == [(p, [x]), (p, []), (q, [])]
 
 
 class TestToldBounds:
@@ -708,11 +823,12 @@ class TestToldBounds:
             assert calls == [(row, [x])]
             assert store.domain(y).max == 8
             store.restore_to(k)
-            assert (store.told_min[x], store.domain(y).max) == (0, 9)
+            assert (store.moved[x], store.domain(y).max) == (0, 9)
 
     def test_seed_all_takes_the_current_bounds_as_told(self):
-        """After a direct store edit, a ``seed_all`` fixpoint rescans with
-        the edited bounds, so an interior removal from x is not advised."""
+        """A direct store edit leaves x marked; a ``seed_all`` fixpoint
+        clears the mark and rescans with the edited bounds, so a later
+        interior removal from x is not advised."""
         m = Model()
         x, y = m.add_var(0, 9), m.add_var(0, 9)
         m.post(LinearEq([1, 1], [x, y], 9))
@@ -721,9 +837,9 @@ class TestToldBounds:
         engine = Engine(m.num_vars, spied(m, calls))
         assert engine.propagate(store, seed_all=True).ok
         store.tighten_max(x, 5)
-        assert store.told_max[x] == 9
+        assert store.moved[x] == 1
         assert engine.propagate(store, seed_all=True).ok
-        assert (store.told_max[x], store.domain(y).min) == (5, 4)
+        assert (store.moved[x], store.domain(y).min) == (0, 4)
         calls.clear()
         assert engine.propagate(store, decision=("ne", x, 3)).ok
         assert calls == []

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from fdsearch import (
+    BinaryKnapsackAtmost,
     BinaryLess,
     Engine,
     HeuristicConfig,
@@ -12,6 +13,7 @@ from fdsearch import (
     LinearEq,
     LinearLeq,
     Model,
+    ModelError,
     RestartPolicy,
     Status,
     build_knapsack_cop,
@@ -97,6 +99,24 @@ class TestSolveBasics:
         m2.maximize(x)
         with pytest.raises(ValueError):
             solve(m2, "abs", all_solutions=True)
+
+    @pytest.mark.parametrize(
+        "values, weight, capacity", (((0, 1, 2), 3, 4), ((-1, 0, 1), 1, 0))
+    )
+    def test_knapsack_over_a_variable_not_0_1_rejected(self, values, weight, capacity):
+        """The knapsack prunes only by assigning 0 to 0/1 items, so such a
+        model was solved wrongly: x = 2 passed for weight 3 and capacity 4,
+        and x = -1 was missed for weight 1 and capacity 0."""
+        m = Model()
+        m.add_var(0, 1, "a")
+        x = m.add_var_values(values, "x")
+        m.post(LinearLeq([1], [x], 5))
+        m.post(BinaryKnapsackAtmost([weight], [x], capacity))
+        match = r"propagator 1 \(binary_knapsack_atmost\).* variable 1 \(x\)"
+        with pytest.raises(ModelError, match=match):
+            solve(m, "wdeg", all_solutions=True)
+        with pytest.raises(ModelError, match=match):
+            probe_activities(m)
 
 
 class TestBranchAndBound:
