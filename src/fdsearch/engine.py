@@ -2,9 +2,10 @@
 of a changed variable scheduled, advice only of variables whose bounds
 moved (``store.moved``), no call to a propagator popped with a saved state
 and no advice, exact affected-variable reporting read from the trail
-segment each call opens.  Propagator states are never trailed: a failure
-drops them all, and the store's per-level copies bring them back on a
-restore."""
+segment each call opens.  The rows (the knapsack and ``x < y`` among them)
+and ``AllDifferent`` keep a state, ``ObjectiveBound`` none.  States are
+never trailed: a failure drops them all, and the store's per-level copies
+bring them back on a restore."""
 
 from __future__ import annotations
 

@@ -6,20 +6,21 @@ would have emptied a domain, so the caller's trail stays consistent.
 
 ``advice`` lists the scope variables whose bounds moved since the
 propagator's previous call, other than by its own changes (a variable may
-appear more than once).  ``ObjectiveBound`` ignores it.  The linear rows,
-the knapsack and ``AllDifferent`` keep a summary of their scope in
-``store.states[pid]`` between calls and bring it up to date from the
-advised variables alone; with no state yet they scan the scope and build
-one.  ``BinaryLess`` keeps a marker.  A state is replaced by assignment,
-never mutated in place, because the store's per-level copies share it.  A
-stored state is at its own fixpoint, so the linear rows and the knapsack
-return ``[]`` at once when the advice moved nothing they prune by, and the
-engine does not call a propagator with a state and no advice.  That is
-exact because every propagator that keeps a state filters on bounds and
-fixedness only, which an interior removal leaves as they were.  A direct
-call, as from a test, reads and writes ``store.states`` as an engine call
-does: it passes ``[]`` on a store with no state for the propagator, and
-after narrowing the store itself, the variables whose bounds it moved.
+appear more than once).  There are three filters: ``_Linear``, which the
+``<=`` rows ``BinaryKnapsackAtmost`` and ``BinaryLess`` inherit,
+``AllDifferent`` and ``ObjectiveBound``, which ignores the advice.  The
+first two keep a summary of their scope in ``store.states[pid]`` between
+calls and bring it up to date from the advised variables alone; with no
+state yet they scan the scope and build one.  A state is replaced by
+assignment, never mutated in place, because the store's per-level copies
+share it.  A stored state is at its own fixpoint, so a row returns ``[]``
+at once when the advice moved nothing it prunes by, and the engine does
+not call a propagator with a state and no advice.  That is exact because
+every propagator that keeps a state filters on bounds and fixedness only,
+which an interior removal leaves as they were.  A direct call, as from a
+test, reads and writes ``store.states`` as an engine call does: it passes
+``[]`` on a store with no state for the propagator, and after narrowing
+the store itself, the variables whose bounds it moved.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ class _Linear(Propagator):
         UNCHANGED, so skipping it leaves the store, the trail and the
         returned list as they were.  Conversely, a span above the slack of a
         side makes that side cut the bound or fail, so every term a pass
-        visits moves; those terms are recomputed between passes, and the
-        loop ends at a pass that visits none.
+        visits moves.  A <= cut leaves term lower bounds, ``lo`` and the
+        slack as they were, so a <= row stops after one pass; an equality
+        recomputes the visited terms and stops at a pass that visits none.
 
         A <= row prunes by ``lo`` alone, as no span exceeds ``hi - lo``, so
         its state is ``(lo, term_lo, heavy)``; an equality's is ``(lo, hi,
@@ -133,21 +135,27 @@ class _Linear(Propagator):
                 i = pos[x]
                 c = cs[i]
                 d = domains[x]
-                if c > 0:
-                    tlo, thi = c * d.min, c * d.max
+                if is_eq:
+                    if c > 0:
+                        tlo, thi = c * d.min, c * d.max
+                    else:
+                        tlo, thi = c * d.max, c * d.min
+                    if tlo == term_lo[i] and thi == term_hi[i]:
+                        continue
                 else:
-                    tlo, thi = c * d.max, c * d.min
-                if tlo != term_lo[i] or is_eq and thi != term_hi[i]:
-                    if not moved:
-                        moved = True
-                        term_lo = term_lo[:]
-                        if is_eq:
-                            term_hi = term_hi[:]
-                    lo += tlo - term_lo[i]
-                    term_lo[i] = tlo
+                    tlo = c * d.min if c > 0 else c * d.max
+                    if tlo == term_lo[i]:
+                        continue
+                if not moved:
+                    moved = True
+                    term_lo = term_lo[:]
                     if is_eq:
-                        hi += thi - term_hi[i]
-                        term_hi[i] = thi
+                        term_hi = term_hi[:]
+                lo += tlo - term_lo[i]
+                term_lo[i] = tlo
+                if is_eq:
+                    hi += thi - term_hi[i]
+                    term_hi[i] = thi
             if not moved:
                 return []
         changed: list[int] = []
@@ -191,21 +199,21 @@ class _Linear(Propagator):
                         out = store.tighten_max(x, lb_num // c)
                     if out is WOULD_EMPTY:
                         return None
+                changed.append(x)
+            if not is_eq:
+                break
             for i in wide:
                 c = cs[i]
-                x = xs[i]
-                changed.append(x)
-                d = domains[x]
+                d = domains[xs[i]]
                 if c > 0:
                     tlo, thi = c * d.min, c * d.max
                 else:
                     tlo, thi = c * d.max, c * d.min
                 lo += tlo - term_lo[i]
                 term_lo[i] = tlo
-                if is_eq:
-                    hi += thi - term_hi[i]
-                    term_hi[i] = thi
-        if len(changed) > 1:
+                hi += thi - term_hi[i]
+                term_hi[i] = thi
+        if is_eq and len(changed) > 1:  # only a later pass revisits a term
             changed = list(dict.fromkeys(changed))
         store.states[self.pid] = (
             (lo, hi, term_lo, term_hi, heavy) if is_eq else (lo, term_lo, heavy)
@@ -314,131 +322,42 @@ class AllDifferent(Propagator):
         return len(set(vals)) == len(vals)
 
 
-class BinaryKnapsackAtmost(Propagator):
-    """sum(w_i * x_i) <= capacity over 0/1 variables.
+class BinaryKnapsackAtmost(LinearLeq):
+    """sum(w_i * x_i) <= capacity over 0/1 variables, as the <= row
+    ``(weights, scope, capacity)``; zero weights are allowed.
 
-    Filters to the strength of the feasibility DP over reachable residual
-    weights: for a pure at-most constraint with non-negative weights that
-    collapses to pruning value 1 from every item whose weight exceeds the
-    capacity left after the items already committed to 1 (the singleton
-    {i} is always the best completion), which is per-constraint domain
-    consistency here.
+    Over 0/1 items the row prunes value 1 from every free item heavier than
+    the capacity left by the items fixed to 1, which is per-constraint
+    domain consistency here.  ``Model.audit`` rejects an item whose initial
+    domain is not within {0, 1}.
     """
 
     kind = "binary_knapsack_atmost"
-    __slots__ = ("weights", "capacity", "_heavy_first")
+    __slots__ = ()
 
     def __init__(self, weights: Sequence[int], scope: Sequence[int], capacity: int):
-        super().__init__(scope)
+        Propagator.__init__(self, scope)  # not _Linear's: it rejects zero weights
         weights = list(weights)
         if len(weights) != len(self.scope):
             raise ValueError("one weight per variable required")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        self.weights = weights
-        self.capacity = capacity
-        self._heavy_first = sorted(range(len(weights)), key=lambda i: -weights[i])
-
-    def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
-        """Only items heavier than the slack can be pruned, so the scan for
-        them walks the items heaviest first and stops at the first one that
-        fits.  The pruned items are then assigned 0 in scope order, so the
-        returned list, the trail and the partial trail left by a failing
-        ``assign`` are those of a scan over the whole scope.
-
-        The state is ``(mandatory, committed)``: the weight of the items
-        fixed to 1 and the bitset of their scope positions, so only the
-        advised items are checked for a new commitment.  When the advice
-        commits none, the slack is the stored state's, whose walk already
-        fixed every item heavier than it to 0, so the call returns at once."""
-        domains = store.domains
-        weights = self.weights
-        xs = self.scope
-        pos = self._pos
-        state = store.states.get(self.pid)
-        if state is None:
-            mandatory = committed = 0
-            fresh = xs
-        else:
-            mandatory, committed = state
-            fresh = advice
-        for x in fresh:
-            d = domains[x]
-            if d.size == 1 and d.min == 1:
-                i = pos[x]
-                if not committed >> i & 1:
-                    committed |= 1 << i
-                    mandatory += weights[i]
-        if state is not None and committed == state[1]:
-            return []
-        store.states[self.pid] = (mandatory, committed)
-        slack = self.capacity - mandatory
-        if slack < 0:
-            return None
-        prune: list[int] = []
-        for i in self._heavy_first:
-            if weights[i] <= slack:
-                break
-            if domains[xs[i]].size > 1:
-                prune.append(i)
-        if not prune:
-            return []
-        prune.sort()
-        changed: list[int] = []
-        for i in prune:
-            x = xs[i]
-            out = store.assign(x, 0)
-            if out is WOULD_EMPTY:
-                return None
-            if out is SHRUNK:
-                changed.append(x)
-        return changed
-
-    def satisfied(self, values: Sequence[int]) -> bool:
-        return (
-            sum(w * values[x] for w, x in zip(self.weights, self.scope))
-            <= self.capacity
-        )
+        self.coeffs = weights
+        self.rhs = capacity
 
 
-class BinaryLess(Propagator):
-    """x < y (strict) or x <= y, by bounds tightening.
+class BinaryLess(LinearLeq):
+    """x < y (strict) or x <= y: the <= row x - y <= -1, or x - y <= 0.
 
     Constant bounds (x <= c) are plain domain tightening at model build
     time or a one-variable LinearLeq; no dedicated propagator is needed.
     """
 
     kind = "binary_less"
-    __slots__ = ("strict",)
+    __slots__ = ()
 
     def __init__(self, x: int, y: int, strict: bool = True):
-        super().__init__([x, y])
-        self.strict = strict
-
-    def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
-        """Idempotent, so it stores a marker state that lets the engine
-        skip its next call when no bound of x or y moved.  On failure the
-        engine drops the marker."""
-        x, y = self.scope
-        off = 1 if self.strict else 0
-        domains = store.domains
-        store.states[self.pid] = True
-        changed: list[int] = []
-        out = store.tighten_max(x, domains[y].max - off)
-        if out is WOULD_EMPTY:
-            return None
-        if out is SHRUNK:
-            changed.append(x)
-        out = store.tighten_min(y, domains[x].min + off)
-        if out is WOULD_EMPTY:
-            return None
-        if out is SHRUNK:
-            changed.append(y)
-        return changed
-
-    def satisfied(self, values: Sequence[int]) -> bool:
-        x, y = self.scope
-        return values[x] < values[y] if self.strict else values[x] <= values[y]
+        super().__init__([1, -1], [x, y], -1 if strict else 0)
 
 
 class ObjectiveBound(Propagator):

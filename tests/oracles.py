@@ -36,19 +36,11 @@ def holds(prop, values: dict[int, int]) -> bool:
     kind = prop.kind
     if kind == "linear_eq":
         return sum(c * values[x] for c, x in zip(prop.coeffs, prop.scope)) == prop.rhs
-    if kind == "linear_leq":
+    if kind in ("linear_leq", "binary_knapsack_atmost", "binary_less"):
         return sum(c * values[x] for c, x in zip(prop.coeffs, prop.scope)) <= prop.rhs
     if kind == "alldifferent":
         vals = [values[x] for x in prop.scope]
         return len(set(vals)) == len(vals)
-    if kind == "binary_knapsack_atmost":
-        return (
-            sum(w * values[x] for w, x in zip(prop.weights, prop.scope))
-            <= prop.capacity
-        )
-    if kind == "binary_less":
-        x, y = prop.scope
-        return values[x] < values[y] if prop.strict else values[x] <= values[y]
     if kind == "not_equal":  # a user propagator of the tests
         x, y = prop.scope
         return values[x] != values[y]
@@ -240,12 +232,16 @@ def random_propagator_instance(rng: random.Random, kind: str):
 
 # -- first-written filtering loops, as references for the optimised ones --
 #
-# Verbatim copies of the ``propagate`` bodies of ``_Linear``, ``AllDifferent``
-# and ``BinaryKnapsackAtmost`` before they learned to skip store calls that
-# cannot change anything.  Called as ``reference(prop, store)``, each must
-# leave the same masks and trail and return the same list, in the same
-# order, as ``prop.propagate(store, advice)`` with the advice that an engine
-# call would pass.
+# Copies of the ``propagate`` bodies of ``_Linear``, ``AllDifferent`` and
+# ``BinaryKnapsackAtmost`` before they learned to skip store calls that
+# cannot change anything; the knapsack's reads its weights and capacity as
+# the row's ``coeffs`` and ``rhs``.  Called as ``reference(prop, store)``,
+# each must leave the same masks and trail and return the same list, in the
+# same order, as ``prop.propagate(store, advice)`` with the advice that an
+# engine call would pass.  The knapsack and ``BinaryLess`` run ``_Linear``'s
+# filter, so ``linear_propagate`` is their reference on any domain (it
+# divides by each coefficient, so no weight may be 0), and
+# ``knapsack_propagate`` is the knapsack's on 0/1 items.
 
 
 def _ceil_div(p: int, q: int) -> int:
@@ -349,14 +345,14 @@ def knapsack_propagate(self, store: DomainStore) -> Optional[list[int]]:
     domains = store.domains
     mandatory = 0
     free: list[tuple[int, int]] = []
-    for w, x in zip(self.weights, self.scope):
+    for w, x in zip(self.coeffs, self.scope):
         d = domains[x]
         if d.size == 1:
             if d.min == 1:
                 mandatory += w
         else:
             free.append((w, x))
-    slack = self.capacity - mandatory
+    slack = self.rhs - mandatory
     if slack < 0:
         return None
     changed: list[int] = []

@@ -315,12 +315,11 @@ def random_filtering_case(rng, kind):
     """A propagator of ``kind`` and the (anchor, mask) specs of a store for
     it, with a few variables outside its scope.  Domains have holes; linear
     rows have negative coefficients and sometimes msq-like wide intervals;
-    knapsack weights tie often and some knapsack domains are not 0/1; many
-    cases fail."""
+    knapsack weights tie often, some are 0, and knapsack domains are the
+    0/1 ones ``Model.audit`` admits; many cases fail."""
     if kind == "binary_knapsack_atmost":
         n = rng.randint(1, 8)
-        values = [rng.choice(([0], [1], [0, 1], [0, 1], [0, 1], [2], [1, 2], [0, 2], [0, 1, 2]))
-                  for _ in range(n)]
+        values = [rng.choice(([0], [1], [0, 1], [0, 1], [0, 1])) for _ in range(n)]
         weights = [rng.randint(0, 5) for _ in range(n)]
         prop = BinaryKnapsackAtmost(weights, list(range(n)), rng.randint(0, sum(weights)))
     elif kind == "alldifferent":
@@ -390,11 +389,11 @@ class TestFirstWrittenFiltering:
 
 def random_mixed_model(rng):
     """Linear rows (holes, negative coefficients, msq-like wide rows),
-    knapsacks (some domains not 0/1), alldifferents and binary_less rows
-    over shared variables.  Often also an alldifferent over wide domains
-    with rows on the same variables, whose removals are mostly interior,
-    and a knapsack that fixes an item to 0 before it wipes out on another,
-    with a row watching the fixed item.
+    knapsacks (weights >= 1, some domains not 0/1), alldifferents and
+    binary_less rows over shared variables.  Often also an alldifferent over
+    wide domains with rows on the same variables, whose removals are mostly
+    interior, and an alldifferent that fixes a variable to 0 before it
+    wipes out on two others, with a row watching the fixed variable.
 
     One value per variable is planted, and each constraint holds for the
     planted values unless it is one of the about one in five drawn freely,
@@ -427,11 +426,10 @@ def random_mixed_model(rng):
             else:
                 m.post(LinearLeq(coeffs, scope, rhs + rng.randint(0, 2)))
     if rng.random() < 0.3:
-        a, b, t = var([0, 1]), var([1, 2]), var([0, 1], 0)
-        z = var([0, 1], rng.randint(0, plant[a]))
+        t, a, b, c = var([1, 3], 3), var([0, 1], 0), var([1, 2], 1), var([1, 2], 2)
+        z = var([0, 1], 0)
         m.post(LinearLeq([-1, 1], [a, z], 0))  # z <= a
-        w = rng.randint(3, 6)
-        m.post(BinaryKnapsackAtmost([w, w, 2 * w], [a, b, t], 2 * w))  # t = 1 fails
+        m.post(AllDifferent([t, a, b, c]))  # t = 1 fixes a = 0, then b = c = 2
     for _ in range(rng.randint(3, 8)):
         shape = rng.random()
         if shape < 0.35:
@@ -448,7 +446,7 @@ def random_mixed_model(rng):
             x, y = sorted(scope[:2], key=plant.__getitem__) if planted else scope[:2]
             m.post(BinaryLess(x, y, strict=plant[x] < plant[y] if planted else rng.random() < 0.5))
         elif kind == "knapsack":
-            weights = [rng.randint(0, 6) for _ in scope]
+            weights = [rng.randint(1, 6) for _ in scope]
             if planted:  # an item planted at v >= 1 fits in the slack
                 cap = sum(w * max(plant[x], 0) for w, x in zip(weights, scope)) + rng.randint(0, 2)
             else:
@@ -472,6 +470,12 @@ def random_mixed_model(rng):
     return m
 
 
+# the rows' first-written loop, on any domain
+TWIN_REFERENCES = {
+    **REFERENCES, "binary_knapsack_atmost": linear_propagate, "binary_less": linear_propagate,
+}
+
+
 class _Reference:
     """Stateless twin of ``prop`` that runs its first-written loop."""
 
@@ -481,7 +485,7 @@ class _Reference:
         self.scope = prop.scope
 
     def propagate(self, store, advice):
-        return REFERENCES[self.prop.kind](self.prop, store)
+        return TWIN_REFERENCES[self.prop.kind](self.prop, store)
 
 
 def twins(m):
@@ -495,8 +499,8 @@ def twins(m):
     same states as ours, so every skipped call would have written
     nothing."""
     ours, theirs, called = m.new_store(), m.new_store(), m.new_store()
-    # binary_less and user propagators have no first-written loop: they run as themselves
-    twin_props = [_Reference(p) if p.kind in REFERENCES else p for p in m.propagators]
+    # user propagators have no first-written loop: they run as themselves
+    twin_props = [_Reference(p) if p.kind in TWIN_REFERENCES else p for p in m.propagators]
     engines = (
         (Engine(m.num_vars, m.propagators), ours),
         (ReferenceEngine(m.num_vars, twin_props), theirs),
@@ -652,29 +656,32 @@ class TestStatefulPath:
         assert prop.propagate(store, [xs[0], xs[2]]) == []
         assert store.states[prop.pid] is state
 
-    def test_knapsack_failing_in_its_prune_loop_keeps_no_state(self):
-        """The knapsack stores its state before pruning; when pruning fails,
-        the engine drops it, so a later decision without a restore rescans
-        instead of returning early on the state."""
+    def test_alldifferent_failing_in_its_prune_loop_keeps_no_state(self):
+        """The row stores its state, then the alldifferent fixes b and c
+        and fails on their equal values; the engine drops every state, so a
+        later decision without a restore rescans instead of returning early
+        on the row's state, which still reads b >= 1."""
         m = Model()
-        a, b, c = m.add_var(0, 1), m.add_var(1, 2), m.add_var(0, 2)
-        m.post(BinaryKnapsackAtmost([5, 5, 1], [a, b, c], 3))  # b cannot be 0
+        a, b, c, z = m.add_var(1, 1), m.add_var(1, 2), m.add_var(1, 2), m.add_var(0, 1)
+        m.post(LinearLeq([1, 1], [b, z], 2))  # z <= 2 - b
+        m.post(AllDifferent([a, b, c]))  # a = 1 fixes b = c = 2
         (ours, *_), fixpoint = twins(m)
-        assert not fixpoint(seed_all=True)  # a = 0, then b = 0 wipes out
+        assert not fixpoint(seed_all=True)
         assert ours.states == {}
-        assert not fixpoint(decision=("ne", c, 2))
+        assert not fixpoint(decision=("ne", z, 0))  # z = 1 > 2 - b
 
     def test_failure_drops_the_state_of_an_unscheduled_watcher(self):
         """A failing propagator fixes ``a`` before it wipes out; the row
         watching ``a`` is neither scheduled nor advised, so its state would
         lag ``a`` if it were kept."""
         m = Model()
-        a, b, t, z = m.add_var(0, 1), m.add_var(1, 2), m.add_var(0, 1), m.add_var(0, 1)
+        t, a, b, c = m.add_var_values([1, 3]), m.add_var(0, 1), m.add_var(1, 2), m.add_var(1, 2)
+        z = m.add_var(0, 1)
         m.post(LinearLeq([-1, 1], [a, z], 0))  # z <= a
-        m.post(BinaryKnapsackAtmost([5, 5, 10], [a, b, t], 10))
+        m.post(AllDifferent([t, a, b, c]))
         (ours, *_), fixpoint = twins(m)
         assert fixpoint(seed_all=True)
-        assert not fixpoint(decision=("eq", t, 1))  # a = 0, then b = 0 wipes out
+        assert not fixpoint(decision=("eq", t, 1))  # a = 0, then b = c = 2 collide
         assert ours.states == {}
         assert not fixpoint(decision=("ne", z, 0))  # z = 1 > a
 

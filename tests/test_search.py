@@ -104,9 +104,11 @@ class TestSolveBasics:
         "values, weight, capacity", (((0, 1, 2), 3, 4), ((-1, 0, 1), 1, 0))
     )
     def test_knapsack_over_a_variable_not_0_1_rejected(self, values, weight, capacity):
-        """The knapsack prunes only by assigning 0 to 0/1 items, so such a
-        model was solved wrongly: x = 2 passed for weight 3 and capacity 4,
-        and x = -1 was missed for weight 1 and capacity 0."""
+        """The knapsack is a <= row, sound on any domain, but its class
+        promises 0/1 items, and the audit guards that contract.  The
+        first-written knapsack pruned only by assigning 0, so it solved
+        such a model wrongly: x = 2 passed for weight 3 and capacity 4, and
+        x = -1 was missed for weight 1 and capacity 0."""
         m = Model()
         m.add_var(0, 1, "a")
         x = m.add_var_values(values, "x")
