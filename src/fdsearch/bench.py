@@ -4,23 +4,26 @@ sweeps, and the root-activity dump.
 CSV layout: one header, one row per run (``agg=0``), then one aggregate
 row (``agg=1``) carrying means, the sample standard deviation of the
 (timeout-clamped) runtimes, the success count and runtime quartiles.
-Timed-out runs contribute the configured timeout to the time aggregates;
-``n_success`` counts runs that did not time out.
+A run that raises gives a ``status=error`` row and the experiment goes
+on. Timed-out and error runs contribute the configured timeout to the time
+aggregates; ``n_success`` counts runs that neither timed out nor raised,
+and ``n_error`` counts the runs that raised.
+
+The process pool, ``statistics``, ``csv`` and ``argparse`` are imported in
+the functions that use them: building and solving a model needs none of
+them, and loading them would otherwise be a large part of the start-up of
+every fresh interpreter that only builds and solves.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import os
-import statistics
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import dataclass, fields, replace
 from itertools import repeat
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .benchmarks import (
     BUNDLED_KNAPSACKS,
@@ -34,6 +37,9 @@ from .heuristics import HeuristicConfig
 from .model import Model
 from .search import RestartPolicy, Status, probe_activities, solve
 
+if TYPE_CHECKING:
+    import argparse
+
 RUN_COLUMNS = (
     "run_id", "seed", "status", "time_s", "choice_points",
     "failures", "restarts", "objective", "probes", "agg",
@@ -41,8 +47,9 @@ RUN_COLUMNS = (
 AGG_COLUMNS = (
     "mu_time_s", "sigma_time_s", "mu_choice_points", "mu_failures",
     "n_success", "q0_time_s", "q1_time_s", "q2_time_s", "q3_time_s",
-    "q4_time_s", "med_probes",
+    "q4_time_s", "med_probes", "n_error",
 )
+ERROR = "error"  # the row status of a run that raised; not a solver Status
 HEADER = RUN_COLUMNS + AGG_COLUMNS
 
 
@@ -108,15 +115,28 @@ def heuristic_config(config: RunConfig) -> HeuristicConfig:
 
 
 def run_single(config: RunConfig, run_id: int, seed: int) -> dict:
-    """One independent solve; safe to call in a worker process."""
-    model = build_benchmark(config.bench)
-    stats = solve(
-        model,
-        heuristic_config(config),
-        restart=parse_restart(config.restart),
-        seed=seed,
-        timeout=config.timeout,
-    )
+    """One independent solve; safe to call in a worker process.  A build or
+    solve that raises gives a ``status=error`` row with the seconds until
+    the exception, no counts, and the exception's repr under ``error``,
+    which is not a CSV column."""
+    start = time.perf_counter()
+    try:
+        model = build_benchmark(config.bench)
+        stats = solve(
+            model,
+            heuristic_config(config),
+            restart=parse_restart(config.restart),
+            seed=seed,
+            timeout=config.timeout,
+        )
+    except Exception as exc:  # one broken run must not end the experiment
+        return {
+            "run_id": run_id,
+            "seed": seed,
+            "status": ERROR,
+            "time_s": round(time.perf_counter() - start, 6),
+            "error": repr(exc),
+        }
     return {
         "run_id": run_id,
         "seed": seed,
@@ -139,14 +159,18 @@ def _thread_budget(config: RunConfig) -> int:
 
 
 def aggregate_rows(rows: Sequence[dict], timeout: float) -> dict:
-    """Recompute the aggregate row from per-run rows."""
+    """Recompute the aggregate row from per-run rows.  The count means and
+    ``med_probes`` are over the runs that did not raise (0.0 if none did)."""
+    import statistics
+
+    unfinished = (Status.TIMED_OUT.value, ERROR)
     times = [
-        timeout if row["status"] == Status.TIMED_OUT.value else row["time_s"]
-        for row in rows
+        timeout if row["status"] in unfinished else row["time_s"] for row in rows
     ]
+    counted = [row for row in rows if row["status"] != ERROR]
     n = len(rows)
     if n == 0:
-        return {key: 0.0 for key in AGG_COLUMNS} | {"n_success": 0}
+        return {key: 0.0 for key in AGG_COLUMNS} | {"n_success": 0, "n_error": 0}
     if n >= 2:
         q1, q2, q3 = statistics.quantiles(times, n=4, method="inclusive")
         sigma = statistics.stdev(times)
@@ -156,15 +180,16 @@ def aggregate_rows(rows: Sequence[dict], timeout: float) -> dict:
     return {
         "mu_time_s": statistics.fmean(times),
         "sigma_time_s": sigma,
-        "mu_choice_points": statistics.fmean(r["choice_points"] for r in rows),
-        "mu_failures": statistics.fmean(r["failures"] for r in rows),
-        "n_success": sum(1 for r in rows if r["status"] != Status.TIMED_OUT.value),
+        "mu_choice_points": statistics.fmean([r["choice_points"] for r in counted] or [0.0]),
+        "mu_failures": statistics.fmean([r["failures"] for r in counted] or [0.0]),
+        "n_success": sum(1 for r in rows if r["status"] not in unfinished),
         "q0_time_s": min(times),
         "q1_time_s": q1,
         "q2_time_s": q2,
         "q3_time_s": q3,
         "q4_time_s": max(times),
-        "med_probes": statistics.median(r["probes"] for r in rows),
+        "med_probes": statistics.median([r["probes"] for r in counted] or [0.0]),
+        "n_error": n - len(counted),
     }
 
 
@@ -178,12 +203,16 @@ def run_experiment(config: RunConfig) -> RunRecord:
     if workers <= 1:
         rows = list(map(run_single, repeat(config), ids, seeds))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_single, repeat(config), ids, seeds))
     return RunRecord(config, rows, aggregate_rows(rows, config.timeout))
 
 
 def write_rows(out: io.TextIOBase, record: RunRecord, prefix: dict | None = None) -> None:
+    import csv
+
     # csv writes floats as repr and None as an empty cell
     writer = csv.writer(out, lineterminator="\n")
     lead = list((prefix or {}).values())
@@ -254,6 +283,8 @@ def _open_out(path: Optional[str]):
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bench",
         description="Benchmark harness for the finite-domain solver",
@@ -333,6 +364,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _summary(record: RunRecord, config: RunConfig, label: str = "") -> None:
+    for row in record.rows:
+        if row["status"] == ERROR:
+            print(
+                f"# run {row['run_id']} (seed {row['seed']}): error: {row['error']}",
+                file=sys.stderr,
+            )
     agg = record.aggregate
     tag = f" [{label}]" if label else ""
     print(

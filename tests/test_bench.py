@@ -1,9 +1,14 @@
 import csv
 import io
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fdsearch.bench
 from fdsearch.bench import (
     HEADER,
     RunConfig,
@@ -31,6 +36,18 @@ def csv_of(record):
     buf = io.StringIO()
     write_csv(buf, record)
     return buf.getvalue()
+
+
+def fail_on_seed(monkeypatch, bad_seed):
+    """Make ``bench``'s solve raise for one seed (serial runs only)."""
+    real_solve = fdsearch.bench.solve
+
+    def solve(model, heuristic, **kw):
+        if kw["seed"] == bad_seed:
+            raise RuntimeError("boom")
+        return real_solve(model, heuristic, **kw)
+
+    monkeypatch.setattr(fdsearch.bench, "solve", solve)
 
 
 class TestSelectors:
@@ -116,6 +133,46 @@ class TestRunExperiment:
         agg = aggregate_rows(rows, timeout=2.0)
         assert agg["n_success"] == 1
         assert agg["mu_time_s"] == pytest.approx(1.25)
+        assert agg["n_error"] == 0
+
+    def test_error_rows_count_as_timeouts_in_time_only(self):
+        rows = [
+            {"status": "solution", "time_s": 0.5, "choice_points": 4, "failures": 1,
+             "restarts": 0, "probes": 3},
+            {"status": "error", "time_s": 0.01, "error": "RuntimeError('boom')"},
+            {"status": "timeout", "time_s": 2.01, "choice_points": 8, "failures": 7,
+             "restarts": 1, "probes": 5},
+        ]
+        agg = aggregate_rows(rows, timeout=2.0)
+        assert agg["mu_time_s"] == pytest.approx((0.5 + 2.0 + 2.0) / 3)
+        assert agg["q4_time_s"] == 2.0
+        assert agg["mu_choice_points"] == pytest.approx(6.0)
+        assert agg["mu_failures"] == pytest.approx(4.0)
+        assert agg["med_probes"] == 4.0
+        assert agg["n_success"] == 1
+        assert agg["n_error"] == 1
+
+    def test_all_runs_raising_still_aggregates(self):
+        rows = [{"status": "error", "time_s": 0.01, "error": "ValueError()"}]
+        agg = aggregate_rows(rows, timeout=3.0)
+        assert agg["mu_time_s"] == 3.0 and agg["sigma_time_s"] == 0.0
+        assert agg["mu_choice_points"] == 0.0 and agg["med_probes"] == 0.0
+        assert agg["n_success"] == 0 and agg["n_error"] == 1
+
+    def test_raising_run_does_not_stop_the_experiment(self, monkeypatch):
+        fail_on_seed(monkeypatch, bad_seed=1)
+        record = run_experiment(
+            RunConfig(bench="msq:4", runs=3, threads=1, timeout=5)
+        )
+        assert [r["status"] for r in record.rows] == ["solution", "error", "solution"]
+        bad = record.rows[1]
+        assert bad["seed"] == 1 and bad["error"] == "RuntimeError('boom')"
+        assert bad["time_s"] >= 0.0 and "choice_points" not in bad
+        assert record.aggregate["n_success"] == 2
+        assert record.aggregate["n_error"] == 1
+        lines = csv_of(record).splitlines()
+        assert lines[2].startswith("1,1,error,")
+        assert lines[2].split(",")[4:9] == [""] * 5  # no counts, no objective
 
 
 class TestSweep:
@@ -178,6 +235,20 @@ class TestCli:
         ])
         assert code == 0
         assert "timeout" in out.read_text()
+
+    def test_raising_run_reported_on_stderr_exit_zero(self, tmp_path, capsys, monkeypatch):
+        fail_on_seed(monkeypatch, bad_seed=4)
+        out = tmp_path / "e.csv"
+        code = main([
+            "run", "--bench", "msq:4", "--runs", "2", "--timeout", "15",
+            "--seed", "3", "--threads", "1", "--out", str(out),
+        ])
+        assert code == 0
+        assert "# run 1 (seed 4): error: RuntimeError('boom')" in capsys.readouterr().err
+        rows = list(csv.DictReader(out.open()))
+        assert [r["status"] for r in rows] == ["solution", "error", ""]
+        assert rows[-1]["n_error"] == "1" and rows[-1]["n_success"] == "1"
+        assert HEADER[-1] == "n_error"
 
     def test_usage_error_exit_code_two(self, tmp_path):
         out = tmp_path / "never.csv"
@@ -259,3 +330,27 @@ class TestCli:
         assert code == 1
         assert "bench: probing timed out" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestColdStart:
+    def test_import_and_build_load_no_runner_modules(self):
+        """Building and solving a model loads none of the modules that only
+        the experiment runner uses; they are imported where they run."""
+        root = Path(__file__).resolve().parents[1]
+        script = (
+            "import sys\n"
+            "import fdsearch, fdsearch.bench as b\n"
+            "for s in ('msq:7', 'knap-cop:1-4', 'knap-csp:1-4'):\n"
+            "    model = b.build_benchmark(s)\n"
+            "b.solve(model, 'abs', restart=b.parse_restart('geo:1.1'), max_failures=5)\n"
+            "runner_only = ('concurrent.futures', 'multiprocessing', 'argparse',\n"
+            "               'csv', 'statistics', 'logging')\n"
+            "print(' '.join(m for m in runner_only if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, cwd=root,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == ""
