@@ -16,7 +16,7 @@ from fdsearch import (
 
 def show(store, model, names):
     for x, name in enumerate(names):
-        print(f"  {name} = {store.domain(x)}")
+        print(f"  {name} = {store.domains[x]}")
 
 
 print("== bounds reasoning on a linear equality ==")

@@ -2,14 +2,8 @@
 heuristics (activity-, impact- and weighted-degree-based) and a benchmark
 harness."""
 
-from .domain import (
-    ChangeOutcome,
-    DomainStore,
-    FiniteDomain,
-    Trail,
-    VarId,
-)
-from .engine import DECISION, Engine, PropagationResult
+from .domain import ChangeOutcome, DomainStore, FiniteDomain
+from .engine import Engine
 from .propagators import (
     AllDifferent,
     BinaryKnapsackAtmost,
@@ -19,11 +13,7 @@ from .propagators import (
     Propagator,
 )
 from .model import Model, ModelError
-from .heuristics import (
-    HeuristicConfig,
-    ProbeAccumulator,
-    t_critical,
-)
+from .heuristics import HeuristicConfig
 from .search import (
     RestartPolicy,
     SearchStats,
@@ -40,9 +30,7 @@ from .benchmarks import (
     check_knapsack_csp,
     check_magic_square,
     load_bundled_instance,
-    magic_constant,
     parse_knapsack_file,
-    parse_knapsack_text,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +40,6 @@ __all__ = [
     "BinaryKnapsackAtmost",
     "BinaryLess",
     "ChangeOutcome",
-    "DECISION",
     "DomainStore",
     "Engine",
     "FiniteDomain",
@@ -62,14 +49,10 @@ __all__ = [
     "LinearLeq",
     "Model",
     "ModelError",
-    "ProbeAccumulator",
-    "PropagationResult",
     "Propagator",
     "RestartPolicy",
     "SearchStats",
     "Status",
-    "Trail",
-    "VarId",
     "build_knapsack_cop",
     "build_knapsack_csp",
     "build_magic_square",
@@ -77,10 +60,7 @@ __all__ = [
     "check_knapsack_csp",
     "check_magic_square",
     "load_bundled_instance",
-    "magic_constant",
     "parse_knapsack_file",
-    "parse_knapsack_text",
     "probe_activities",
     "solve",
-    "t_critical",
 ]

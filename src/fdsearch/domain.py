@@ -14,8 +14,6 @@ import enum
 import math
 from typing import Iterable, Iterator, Sequence
 
-VarId = int
-
 
 class ChangeOutcome(enum.Enum):
     """Result of a domain-shrinking operation."""
@@ -84,9 +82,6 @@ class FiniteDomain:
             low = m & -m
             yield a + low.bit_length() - 1
             m ^= low
-
-    def as_tuple(self) -> tuple[int, ...]:
-        return tuple(self.values())
 
     def __repr__(self) -> str:
         if self.size > 12:
@@ -181,15 +176,9 @@ class DomainStore:
             doms.append(d)
         return cls(doms)
 
-    def __len__(self) -> int:
-        return len(self.domains)
-
     @property
     def level(self) -> int:
         return self.trail.level
-
-    def domain(self, x: VarId) -> FiniteDomain:
-        return self.domains[x]
 
     def push_level(self) -> int:
         self._saved.append(self.states.copy())
@@ -214,7 +203,7 @@ class DomainStore:
 
     # -- shrinking operations; WOULD_EMPTY always leaves the store untouched --
 
-    def remove_value(self, x: VarId, v: int) -> ChangeOutcome:
+    def remove_value(self, x: int, v: int) -> ChangeOutcome:
         d = self.domains[x]
         i = v - d.anchor
         if i < 0 or (d.mask >> i) & 1 == 0:
@@ -227,7 +216,7 @@ class DomainStore:
         d._set_mask(d.mask & ~(1 << i))
         return SHRUNK
 
-    def remove_bits(self, x: VarId, bits: int) -> ChangeOutcome:
+    def remove_bits(self, x: int, bits: int) -> ChangeOutcome:
         """Remove every value whose anchored bit is set in ``bits``."""
         d = self.domains[x]
         new = d.mask & ~bits
@@ -242,7 +231,7 @@ class DomainStore:
             self.moved[x] = 1
         return SHRUNK
 
-    def assign(self, x: VarId, v: int) -> ChangeOutcome:
+    def assign(self, x: int, v: int) -> ChangeOutcome:
         d = self.domains[x]
         i = v - d.anchor
         if i < 0 or (d.mask >> i) & 1 == 0:
@@ -254,7 +243,7 @@ class DomainStore:
         d._set_mask(1 << i)
         return SHRUNK
 
-    def tighten_min(self, x: VarId, lb: int) -> ChangeOutcome:
+    def tighten_min(self, x: int, lb: int) -> ChangeOutcome:
         d = self.domains[x]
         if lb <= d.min:
             return UNCHANGED
@@ -265,7 +254,7 @@ class DomainStore:
         d._set_mask(d.mask & ~((1 << (lb - d.anchor)) - 1))
         return SHRUNK
 
-    def tighten_max(self, x: VarId, ub: int) -> ChangeOutcome:
+    def tighten_max(self, x: int, ub: int) -> ChangeOutcome:
         d = self.domains[x]
         if ub >= d.max:
             return UNCHANGED

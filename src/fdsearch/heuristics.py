@@ -110,31 +110,22 @@ class ProbeAccumulator:
             return 0.0
         return math.sqrt(self.m2[x] / (self.count - 1))
 
-    def max_halfwidth_ratio(self, mean_epsilon: float = _MEAN_EPSILON) -> float:
-        """max over variables of t * stddev / (sqrt(n) * mean); variables
-        with mean <= mean_epsilon are exempt (a relative band around 0 is
+    def should_stop(self, delta: float, min_probes: int) -> bool:
+        """True once at least ``min_probes`` (and 2) probes are folded and
+        every variable's 95% CI half-width relative to its mean,
+        t * stddev / (sqrt(n) * mean), is at most ``delta``; variables with
+        mean <= _MEAN_EPSILON are exempt (a relative band around 0 is
         unattainable)."""
         n = self.count
-        if n < 2:
-            return math.inf
+        if n < min_probes or n < 2:
+            return False
         t = t_critical(n - 1)
         sqrt_n = math.sqrt(n)
-        worst = 0.0
         for x in range(self.nvars):
             mu = self.mean[x]
-            if mu <= mean_epsilon:
-                continue
-            ratio = t * self.stddev(x) / (sqrt_n * mu)
-            if ratio > worst:
-                worst = ratio
-        return worst
-
-    def should_stop(
-        self, delta: float, min_probes: int, mean_epsilon: float = _MEAN_EPSILON
-    ) -> bool:
-        if self.count < min_probes:
-            return False
-        return self.max_halfwidth_ratio(mean_epsilon) <= delta
+            if mu > _MEAN_EPSILON and t * self.stddev(x) / (sqrt_n * mu) > delta:
+                return False
+        return True
 
 
 def _running_average(table: dict, key, new: float, alpha: float) -> None:
@@ -394,10 +385,6 @@ class WeightedDegreeSearch(SearchHeuristic):
                     wdeg += weights[pid]
             scores.append(domains[x].size / wdeg if wdeg else math.inf)
         return scores
-
-    def variable_ratio(self, x: int, store: DomainStore) -> float:
-        """The branching score of x (smaller branches first)."""
-        return self._ratios((x,), store)[0]
 
     def select_variable(self, free, store):
         return _argbest(free, self._ratios(free, store), self.rng, largest=False)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .domain import DomainStore, FiniteDomain, VarId
+from .domain import DomainStore, FiniteDomain
 from .propagators import BinaryKnapsackAtmost, Propagator
 
 
@@ -20,12 +20,12 @@ class Model:
         self._specs: list[tuple[int, int]] = []  # (anchor, mask) per variable
         self.var_names: list[str] = []
         self.propagators: list[Propagator] = []
-        self.objective: Optional[tuple[VarId, str]] = None  # (var, "max"|"min")
-        self._branch_vars: Optional[list[VarId]] = None
+        self.objective: Optional[tuple[int, str]] = None  # (var, "max"|"min")
+        self._branch_vars: Optional[list[int]] = None
 
     # -- construction --
 
-    def add_var(self, lo: int, hi: Optional[int] = None, name: str = "") -> VarId:
+    def add_var(self, lo: int, hi: Optional[int] = None, name: str = "") -> int:
         """Declare a variable with domain [lo, hi] (or the singleton {lo})."""
         if hi is None:
             hi = lo
@@ -35,13 +35,13 @@ class Model:
         self.var_names.append(name or f"x{len(self._specs) - 1}")
         return len(self._specs) - 1
 
-    def add_var_values(self, values: Iterable[int], name: str = "") -> VarId:
+    def add_var_values(self, values: Iterable[int], name: str = "") -> int:
         d = FiniteDomain.from_values(values)
         self._specs.append((d.anchor, d.mask))
         self.var_names.append(name or f"x{len(self._specs) - 1}")
         return len(self._specs) - 1
 
-    def add_vars(self, n: int, lo: int, hi: int, prefix: str = "x") -> list[VarId]:
+    def add_vars(self, n: int, lo: int, hi: int, prefix: str = "x") -> list[int]:
         return [self.add_var(lo, hi, f"{prefix}{i}") for i in range(n)]
 
     def post(self, prop: Propagator) -> int:
@@ -53,24 +53,27 @@ class Model:
         self.propagators.append(prop)
         return prop.pid
 
-    def maximize(self, var: VarId) -> None:
+    def maximize(self, var: int) -> None:
         self._set_objective(var, "max")
 
-    def minimize(self, var: VarId) -> None:
+    def minimize(self, var: int) -> None:
         self._set_objective(var, "min")
 
-    def _set_objective(self, var: VarId, direction: str) -> None:
+    def _set_objective(self, var: int, direction: str) -> None:
         if not 0 <= var < len(self._specs):
             raise ModelError(f"objective variable {var} not declared")
         self.objective = (var, direction)
 
-    def set_branch_vars(self, vars: Sequence[VarId]) -> None:
+    def set_branch_vars(self, vars: Sequence[int]) -> None:
         """Restrict search decisions (and heuristic statistics) to these
         variables; auxiliaries must then be fixed by propagation."""
+        vars = list(vars)
         for x in vars:
             if not 0 <= x < len(self._specs):
                 raise ModelError(f"branch variable {x} not declared")
-        self._branch_vars = list(vars)
+        if len(set(vars)) != len(vars):
+            raise ModelError("branch variables must be duplicate-free")
+        self._branch_vars = vars
 
     # -- queries --
 
@@ -79,12 +82,12 @@ class Model:
         return len(self._specs)
 
     @property
-    def branch_vars(self) -> list[VarId]:
+    def branch_vars(self) -> list[int]:
         if self._branch_vars is not None:
             return self._branch_vars
         return list(range(len(self._specs)))
 
-    def initial_domain(self, x: VarId) -> FiniteDomain:
+    def initial_domain(self, x: int) -> FiniteDomain:
         anchor, mask = self._specs[x]
         d = FiniteDomain(anchor, anchor)
         d._set_mask(mask)
@@ -120,10 +123,6 @@ class Model:
                 raise ModelError(f"bad objective direction {direction!r}")
             if not 0 <= var < len(self._specs):
                 raise ModelError("objective variable out of range")
-
-    def check_assignment(self, values: Sequence[int]) -> bool:
-        """Evaluate every propagator's semantics on a full assignment."""
-        return all(p.satisfied(values) for p in self.propagators)
 
     def __repr__(self) -> str:
         return (

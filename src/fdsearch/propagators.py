@@ -31,7 +31,7 @@ from .domain import DomainStore, SHRUNK, WOULD_EMPTY
 
 
 class Propagator:
-    """Base class; subclasses define filtering and a full-assignment check."""
+    """Base class; a subclass defines ``kind`` and its filter, ``propagate``."""
 
     kind = "abstract"
     __slots__ = ("pid", "scope", "_pos")
@@ -47,10 +47,6 @@ class Propagator:
         self._pos = {x: i for i, x in enumerate(scope)}
 
     def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
-        raise NotImplementedError
-
-    def satisfied(self, values: Sequence[int]) -> bool:
-        """Semantic check against a full assignment (values indexed by VarId)."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -220,9 +216,6 @@ class _Linear(Propagator):
         )
         return changed
 
-    def _dot(self, values: Sequence[int]) -> int:
-        return sum(c * values[x] for c, x in zip(self.coeffs, self.scope))
-
 
 class LinearEq(_Linear):
     """sum(a_i * x_i) == b with bounds consistency."""
@@ -231,9 +224,6 @@ class LinearEq(_Linear):
     is_eq = True
     __slots__ = ()
 
-    def satisfied(self, values: Sequence[int]) -> bool:
-        return self._dot(values) == self.rhs
-
 
 class LinearLeq(_Linear):
     """sum(a_i * x_i) <= b with bounds consistency."""
@@ -241,9 +231,6 @@ class LinearLeq(_Linear):
     kind = "linear_leq"
     is_eq = False
     __slots__ = ()
-
-    def satisfied(self, values: Sequence[int]) -> bool:
-        return self._dot(values) <= self.rhs
 
 
 class AllDifferent(Propagator):
@@ -317,10 +304,6 @@ class AllDifferent(Propagator):
             store.states[self.pid] = (base, seen, bound)
         return changed
 
-    def satisfied(self, values: Sequence[int]) -> bool:
-        vals = [values[x] for x in self.scope]
-        return len(set(vals)) == len(vals)
-
 
 class BinaryKnapsackAtmost(LinearLeq):
     """sum(w_i * x_i) <= capacity over 0/1 variables, as the <= row
@@ -389,6 +372,3 @@ class ObjectiveBound(Propagator):
         if out is WOULD_EMPTY:
             return None
         return [x] if out is SHRUNK else []
-
-    def satisfied(self, values: Sequence[int]) -> bool:
-        return True

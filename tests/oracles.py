@@ -230,6 +230,89 @@ def random_propagator_instance(rng: random.Random, kind: str):
     return m, domains
 
 
+def random_mixed_model(rng):
+    """Linear rows (holes, negative coefficients, msq-like wide rows),
+    knapsacks (weights >= 1, some domains not 0/1), alldifferents and
+    binary_less rows over shared variables.  Often also an alldifferent over
+    wide domains with rows on the same variables, whose removals are mostly
+    interior, and an alldifferent that fixes a variable to 0 before it
+    wipes out on two others, with a row watching the fixed variable.
+
+    One value per variable is planted, and each constraint holds for the
+    planted values unless it is one of the about one in five drawn freely,
+    so that most models survive the root fixpoint and reach decisions."""
+    free = 0.2
+    m = Model("mixed")
+    plant: list[int] = []
+
+    def var(values, value=None):
+        plant.append(rng.choice(values) if value is None else value)
+        return m.add_var_values(values)
+
+    def planted_rhs(coeffs, scope):
+        if rng.random() < free:
+            return sum(c * rng.choice(tuple(m.initial_domain(x).values()))
+                       for c, x in zip(coeffs, scope)) + rng.randint(-3, 3)
+        return sum(c * plant[x] for c, x in zip(coeffs, scope))
+
+    if rng.random() < 0.5:
+        k = rng.randint(3, 5)
+        his = [rng.randint(k, 12) for _ in range(k)]
+        xs = [var(range(1, hi + 1), v) for hi, v in zip(his, rng.sample(range(1, k + 1), k))]
+        m.post(AllDifferent(xs))
+        for _ in range(rng.randint(1, 2)):
+            scope = rng.sample(xs, rng.randint(2, k))
+            coeffs = [rng.choice((1, 1, 2, -1)) for _ in scope]
+            rhs = planted_rhs(coeffs, scope)
+            if rng.random() < 0.5:
+                m.post(LinearEq(coeffs, scope, rhs))
+            else:
+                m.post(LinearLeq(coeffs, scope, rhs + rng.randint(0, 2)))
+    if rng.random() < 0.3:
+        t, a, b, c = var([1, 3], 3), var([0, 1], 0), var([1, 2], 1), var([1, 2], 2)
+        z = var([0, 1], 0)
+        m.post(LinearLeq([-1, 1], [a, z], 0))  # z <= a
+        m.post(AllDifferent([t, a, b, c]))  # t = 1 fixes a = 0, then b = c = 2
+    for _ in range(rng.randint(3, 8)):
+        shape = rng.random()
+        if shape < 0.35:
+            var(rng.choice(([0, 1], [0, 1], [0, 1], [0], [1], [1, 2], [0, 2], [0, 1, 2])))
+        elif shape < 0.7:
+            var(random_domain(rng, lo=-4, hi=7, max_size=6))
+        else:
+            var(range(1, rng.randint(2, 20) + 1))
+    for _ in range(rng.randint(1, 5)):
+        kind = rng.choice(("linear_eq", "linear_leq", "linear_leq", "knapsack", "alldiff", "less"))
+        scope = rng.sample(range(m.num_vars), rng.randint(2, min(6, m.num_vars)))
+        planted = rng.random() >= free
+        if kind == "less":
+            x, y = sorted(scope[:2], key=plant.__getitem__) if planted else scope[:2]
+            m.post(BinaryLess(x, y, strict=plant[x] < plant[y] if planted else rng.random() < 0.5))
+        elif kind == "knapsack":
+            weights = [rng.randint(1, 6) for _ in scope]
+            if planted:  # an item planted at v >= 1 fits in the slack
+                cap = sum(w * max(plant[x], 0) for w, x in zip(weights, scope)) + rng.randint(0, 2)
+            else:
+                cap = rng.randint(0, sum(weights))
+            m.post(BinaryKnapsackAtmost(weights, scope, cap))
+        elif kind == "alldiff":
+            if planted:  # one variable per planted value
+                scope = list({plant[x]: x for x in scope}.values())
+            if len(scope) > 1:
+                m.post(AllDifferent(scope))
+        else:
+            if rng.random() < 0.3:
+                coeffs = [1] * len(scope)
+            else:
+                coeffs = [rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)) for _ in scope]
+            rhs = planted_rhs(coeffs, scope)
+            if kind == "linear_eq":
+                m.post(LinearEq(coeffs, scope, rhs))
+            else:
+                m.post(LinearLeq(coeffs, scope, rhs + rng.randint(0, 3)))
+    return m
+
+
 # -- first-written filtering loops, as references for the optimised ones --
 #
 # Copies of the ``propagate`` bodies of ``_Linear``, ``AllDifferent`` and

@@ -15,10 +15,9 @@ from fdsearch import (
     check_knapsack_csp,
     check_magic_square,
     load_bundled_instance,
-    magic_constant,
-    parse_knapsack_text,
     solve,
 )
+from fdsearch.benchmarks import magic_constant, parse_knapsack_text
 
 TOY = KnapsackInstance(3, 1, [10, 6, 4], [[5, 4, 3]], [9], 16, "toy")
 TOY_TEXT = "3 1\n10 6 4\n5 4 3\n9\n16\n"

@@ -16,11 +16,11 @@ class TestFiniteDomain:
     def test_interval_construction(self):
         d = FiniteDomain(2, 6)
         assert (d.min, d.max, d.size) == (2, 6, 5)
-        assert d.as_tuple() == (2, 3, 4, 5, 6)
+        assert tuple(d.values()) == (2, 3, 4, 5, 6)
 
     def test_holey_construction(self):
         d = FiniteDomain.from_values([7, 1, 4, 1])
-        assert d.as_tuple() == (1, 4, 7)
+        assert tuple(d.values()) == (1, 4, 7)
         assert 4 in d and 5 not in d and 0 not in d
 
     def test_empty_rejected(self):
@@ -38,24 +38,24 @@ class TestRemoveValue:
     def test_present_value_shrinks(self):
         s = store_of([1, 2, 3])
         assert s.remove_value(0, 2) is ChangeOutcome.SHRUNK
-        assert s.domain(0).as_tuple() == (1, 3)
+        assert tuple(s.domains[0].values()) == (1, 3)
 
     def test_absent_value_unchanged(self):
         s = store_of([1, 2, 3])
         assert s.remove_value(0, 7) is ChangeOutcome.UNCHANGED
-        assert s.domain(0).as_tuple() == (1, 2, 3)
+        assert tuple(s.domains[0].values()) == (1, 2, 3)
 
     def test_wipeout_leaves_store_untouched(self):
         s = store_of([4])
         assert s.remove_value(0, 4) is ChangeOutcome.WOULD_EMPTY
-        assert s.domain(0).as_tuple() == (4,)
+        assert tuple(s.domains[0].values()) == (4,)
 
 
 class TestAssign:
     def test_narrows_to_singleton(self):
         s = store_of([1, 2, 3])
         assert s.assign(0, 2) is ChangeOutcome.SHRUNK
-        assert s.domain(0).as_tuple() == (2,)
+        assert tuple(s.domains[0].values()) == (2,)
 
     def test_idempotent_on_singleton(self):
         s = store_of([2])
@@ -64,14 +64,14 @@ class TestAssign:
     def test_absent_value_would_empty(self):
         s = store_of([1, 3])
         assert s.assign(0, 2) is ChangeOutcome.WOULD_EMPTY
-        assert s.domain(0).as_tuple() == (1, 3)
+        assert tuple(s.domains[0].values()) == (1, 3)
 
 
 class TestTighten:
     def test_tighten_min(self):
         s = store_of([1, 2, 5])
         assert s.tighten_min(0, 2) is ChangeOutcome.SHRUNK
-        assert s.domain(0).as_tuple() == (2, 5)
+        assert tuple(s.domains[0].values()) == (2, 5)
 
     def test_tighten_min_noop(self):
         s = store_of([1, 2, 5])
@@ -80,21 +80,21 @@ class TestTighten:
     def test_tighten_min_would_empty(self):
         s = store_of([1, 2, 5])
         assert s.tighten_min(0, 6) is ChangeOutcome.WOULD_EMPTY
-        assert s.domain(0).as_tuple() == (1, 2, 5)
+        assert tuple(s.domains[0].values()) == (1, 2, 5)
 
     def test_tighten_max(self):
         s = store_of([1, 2, 5])
         assert s.tighten_max(0, 4) is ChangeOutcome.SHRUNK
-        assert s.domain(0).as_tuple() == (1, 2)
+        assert tuple(s.domains[0].values()) == (1, 2)
         assert s.tighten_max(0, 9) is ChangeOutcome.UNCHANGED
         assert s.tighten_max(0, 0) is ChangeOutcome.WOULD_EMPTY
 
     def test_remove_values_bulk(self):
         s = store_of([1, 2, 3, 4])  # anchored at 1: bit i is value 1 + i
         assert s.remove_bits(0, 0b1010 | 1 << 8) is ChangeOutcome.SHRUNK  # 2, 4, 9
-        assert s.domain(0).as_tuple() == (1, 3)
+        assert tuple(s.domains[0].values()) == (1, 3)
         assert s.remove_bits(0, 0b0101) is ChangeOutcome.WOULD_EMPTY  # 1, 3
-        assert s.domain(0).as_tuple() == (1, 3)
+        assert tuple(s.domains[0].values()) == (1, 3)
 
 
 class TestSearchSpaceLogSize:
@@ -147,7 +147,7 @@ class TestTrailRoundTrip:
         k = s.push_level()
         s.assign(0, 3)
         s.restore_to(k)
-        assert s.domain(0).as_tuple() == (2, 3)
+        assert tuple(s.domains[0].values()) == (2, 3)
 
     def test_random_sequences_restore_exactly(self):
         rng = random.Random(20240817)
@@ -175,7 +175,7 @@ class TestTrailRoundTrip:
                             del snapshots[lvl]
                 else:
                     x = rng.randrange(nvars)
-                    d = s.domain(x)
+                    d = s.domains[x]
                     size_before = d.size
                     op = rng.choice(["remove", "assign", "tmin", "tmax"])
                     v = rng.randint(d.min - 1, d.max + 1)
@@ -188,8 +188,8 @@ class TestTrailRoundTrip:
                     else:
                         s.tighten_max(x, v)
                     # monotone within a level: never grows
-                    assert s.domain(x).size <= size_before
-                    assert s.domain(x).size >= 1
+                    assert s.domains[x].size <= size_before
+                    assert s.domains[x].size >= 1
             # unwind everything that is still pending
             if snapshots:
                 k = min(snapshots)
@@ -218,7 +218,7 @@ class TestBoundMovedMarks:
         x %= len(values)
         s.moved[:] = bytes(marks[: len(values)])
         before = bytearray(s.moved)
-        d = s.domain(x)
+        d = s.domains[x]
         lo, hi = d.min, d.max
         out = getattr(s, op)(x, bits if op == "remove_bits" else arg)
         if out is ChangeOutcome.SHRUNK and (d.min, d.max) != (lo, hi):
@@ -229,7 +229,7 @@ class TestBoundMovedMarks:
         s = store_of([1, 2, 3, 4, 5])
         assert s.remove_value(0, 3) is ChangeOutcome.SHRUNK
         assert s.remove_bits(0, 0b1010) is ChangeOutcome.SHRUNK  # 2 and 4
-        assert s.domain(0).as_tuple() == (1, 5) and s.moved[0] == 0
+        assert tuple(s.domains[0].values()) == (1, 5) and s.moved[0] == 0
         assert s.remove_bits(0, 0b10001) is ChangeOutcome.WOULD_EMPTY
         assert s.remove_value(0, 5) is ChangeOutcome.SHRUNK
         assert s.moved[0] == 1
@@ -261,7 +261,7 @@ class TestTrailInternals:
         s.push_level()
         s.remove_value(0, 2)
         s.restore_to(k)
-        assert s.domain(0).as_tuple() == (1, 2, 3, 4)
+        assert tuple(s.domains[0].values()) == (1, 2, 3, 4)
 
     def test_states_restored_as_of_push(self):
         s = store_of([1, 2, 3])

@@ -12,19 +12,19 @@ from fdsearch import (
     LinearEq,
     LinearLeq,
     Model,
-    ProbeAccumulator,
-    PropagationResult,
     RestartPolicy,
     Status,
     build_magic_square,
     solve,
-    t_critical,
 )
+from fdsearch.engine import PropagationResult
 from fdsearch.heuristics import (
     ActivitySearch,
     ImpactSearch,
+    ProbeAccumulator,
     WeightedDegreeSearch,
     _argbest,
+    t_critical,
 )
 from fdsearch.search import _Solver
 
@@ -169,7 +169,7 @@ class TestImpactInitialization:
         m.post(AllDifferent([x, y, z]))
         solver = make_solver(m, "ibs")
         assert solver.heuristic.initialize(solver)
-        assert solver.store.domain(x).as_tuple() == (3,)  # 1 and 2 shaved
+        assert tuple(solver.store.domains[x].values()) == (3,)  # 1 and 2 shaved
         assert solver.heuristic.impact[(x, 1)] == 1.0
         assert solver.heuristic.impact[(x, 2)] == 1.0
 
@@ -223,7 +223,7 @@ class TestWdeg:
         heur.weights[c1] = 3
         heur.weights[c2] = 2
         store = m.new_store()
-        assert heur.variable_ratio(x, store) == pytest.approx(2 / 3, abs=1e-9)
+        assert heur._ratios((x,), store)[0] == pytest.approx(2 / 3, abs=1e-9)
 
     def test_unconstrained_variable_never_preferred(self):
         m = Model()
@@ -233,7 +233,7 @@ class TestWdeg:
         m.post(LinearLeq([1, 1], [x, u], 100))
         heur = WeightedDegreeSearch(m, HeuristicConfig(kind="wdeg"), random.Random(3))
         store = m.new_store()
-        assert heur.variable_ratio(lone, store) == math.inf
+        assert heur._ratios((lone,), store)[0] == math.inf
         for _ in range(50):
             assert heur.select_variable([x, lone], store) == x
 
@@ -284,11 +284,11 @@ class TestWdeg:
         free = [x for x in m.branch_vars if store.domains[x].size > 1]
         if not free:
             return
-        best = min(heur.variable_ratio(x, store) for x in free)
+        best = min(heur._ratios(free, store))
         for _ in range(5):  # ties are broken at random
             chosen = heur.select_variable(free, store)
             assert chosen in free
-            assert heur.variable_ratio(chosen, store) == best
+            assert heur._ratios((chosen,), store)[0] == best
 
 
 class TestActivityFormulas:
@@ -511,7 +511,7 @@ class TestProbingInitialization:
         m.post(AllDifferent([x, y, z]))
         solver = make_solver(m, "abs", seed=0, probe_only=True)
         assert solver.heuristic.initialize(solver)
-        assert solver.store.domain(x).as_tuple() == (3,)
+        assert tuple(solver.store.domains[x].values()) == (3,)
 
     def test_probing_can_prove_infeasibility(self):
         m = Model()

@@ -28,6 +28,7 @@ from oracles import (
     ReferenceEngine,
     random_csp,
     random_domain,
+    random_mixed_model,
     random_propagator_instance,
     reference_filter,
 )
@@ -54,8 +55,8 @@ class TestLinear:
         m.post(LinearEq([2, 1], [x, y], 10))
         store, _, res = run_fixpoint(m)
         assert res.ok
-        assert store.domain(x).as_tuple() == (4, 5)
-        assert store.domain(y).as_tuple() == (0, 1, 2)
+        assert tuple(store.domains[x].values()) == (4, 5)
+        assert tuple(store.domains[y].values()) == (0, 1, 2)
 
     def test_leq_with_bound_partner(self):
         m = Model()
@@ -64,7 +65,7 @@ class TestLinear:
         m.post(LinearLeq([1, 1], [x, y], 3))
         store, _, res = run_fixpoint(m)
         assert res.ok
-        assert store.domain(x).as_tuple() == (0, 1)
+        assert tuple(store.domains[x].values()) == (0, 1)
 
     def test_slack_constraint_no_change(self):
         m = Model()
@@ -88,7 +89,7 @@ class TestLinear:
         store, _, res = run_fixpoint(m)
         assert res.ok
         # 2x - 3y = 12 over [-3,3]^2 has solutions (3,-2) and (0,-4)? only (3,-2)
-        assert store.domain(x).min >= 1  # 2x = 12 + 3y >= 12 - 9 = 3
+        assert store.domains[x].min >= 1  # 2x = 12 + 3y >= 12 - 9 = 3
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -110,8 +111,8 @@ class TestAllDifferent:
         m.post(AllDifferent([x, y, z]))
         store, _, res = run_fixpoint(m)
         assert res.ok
-        assert store.domain(y).as_tuple() == (1,)
-        assert store.domain(z).as_tuple() == (4,)
+        assert tuple(store.domains[y].values()) == (1,)
+        assert tuple(store.domains[z].values()) == (4,)
 
     def test_disjoint_domains_untouched(self):
         m = Model()
@@ -151,8 +152,8 @@ class TestBinaryKnapsackAtmost:
         store.push_level()
         res = engine.propagate(store, decision=("eq", xs[0], 1))
         assert res.ok
-        assert store.domain(xs[1]).as_tuple() == (0,)
-        assert store.domain(xs[2]).as_tuple() == (0,)
+        assert tuple(store.domains[xs[1]].values()) == (0,)
+        assert tuple(store.domains[xs[2]].values()) == (0,)
 
     def test_slack_capacity_no_change(self):
         m = Model()
@@ -181,8 +182,8 @@ class TestBinaryLess:
         m.post(BinaryLess(x, y))
         store, _, res = run_fixpoint(m)
         assert res.ok
-        assert (store.domain(x).min, store.domain(x).max) == (1, 8)
-        assert (store.domain(y).min, store.domain(y).max) == (2, 9)
+        assert (store.domains[x].min, store.domains[x].max) == (1, 8)
+        assert (store.domains[y].min, store.domains[y].max) == (2, 9)
 
     def test_entailed_no_change(self):
         m = Model()
@@ -219,7 +220,7 @@ class TestEngine:
         store, _, res = run_fixpoint(m)
         assert res.ok
         assert res.affected == [x]
-        assert store.domain(x).as_tuple() == (3, 4)
+        assert tuple(store.domains[x].values()) == (3, 4)
 
     def test_failure_reports_failing_propagator(self):
         m = Model()
@@ -307,7 +308,7 @@ class TestEngine:
                 free = [x for x, d in enumerate(store.domains) if d.size > 1]
                 if free:
                     x = rng.choice(free)
-                    v = rng.choice(store.domains[x].as_tuple())
+                    v = rng.choice(tuple(store.domains[x].values()))
                     fixpoint(decision=(rng.choice(("eq", "ne")), x, v))
 
 
@@ -380,94 +381,11 @@ class TestFirstWrittenFiltering:
                 break
             assert prop.pid in ours.states
             x = rng.choice(free)
-            v = rng.choice(ours.domains[x].as_tuple())
+            v = rng.choice(tuple(ours.domains[x].values()))
             op = rng.choice(("assign", "remove_value"))
             getattr(ours, op)(x, v)
             getattr(theirs, op)(x, v)
             advice = [x]
-
-
-def random_mixed_model(rng):
-    """Linear rows (holes, negative coefficients, msq-like wide rows),
-    knapsacks (weights >= 1, some domains not 0/1), alldifferents and
-    binary_less rows over shared variables.  Often also an alldifferent over
-    wide domains with rows on the same variables, whose removals are mostly
-    interior, and an alldifferent that fixes a variable to 0 before it
-    wipes out on two others, with a row watching the fixed variable.
-
-    One value per variable is planted, and each constraint holds for the
-    planted values unless it is one of the about one in five drawn freely,
-    so that most models survive the root fixpoint and reach decisions."""
-    free = 0.2
-    m = Model("mixed")
-    plant: list[int] = []
-
-    def var(values, value=None):
-        plant.append(rng.choice(values) if value is None else value)
-        return m.add_var_values(values)
-
-    def planted_rhs(coeffs, scope):
-        if rng.random() < free:
-            return sum(c * rng.choice(m.initial_domain(x).as_tuple())
-                       for c, x in zip(coeffs, scope)) + rng.randint(-3, 3)
-        return sum(c * plant[x] for c, x in zip(coeffs, scope))
-
-    if rng.random() < 0.5:
-        k = rng.randint(3, 5)
-        his = [rng.randint(k, 12) for _ in range(k)]
-        xs = [var(range(1, hi + 1), v) for hi, v in zip(his, rng.sample(range(1, k + 1), k))]
-        m.post(AllDifferent(xs))
-        for _ in range(rng.randint(1, 2)):
-            scope = rng.sample(xs, rng.randint(2, k))
-            coeffs = [rng.choice((1, 1, 2, -1)) for _ in scope]
-            rhs = planted_rhs(coeffs, scope)
-            if rng.random() < 0.5:
-                m.post(LinearEq(coeffs, scope, rhs))
-            else:
-                m.post(LinearLeq(coeffs, scope, rhs + rng.randint(0, 2)))
-    if rng.random() < 0.3:
-        t, a, b, c = var([1, 3], 3), var([0, 1], 0), var([1, 2], 1), var([1, 2], 2)
-        z = var([0, 1], 0)
-        m.post(LinearLeq([-1, 1], [a, z], 0))  # z <= a
-        m.post(AllDifferent([t, a, b, c]))  # t = 1 fixes a = 0, then b = c = 2
-    for _ in range(rng.randint(3, 8)):
-        shape = rng.random()
-        if shape < 0.35:
-            var(rng.choice(([0, 1], [0, 1], [0, 1], [0], [1], [1, 2], [0, 2], [0, 1, 2])))
-        elif shape < 0.7:
-            var(random_domain(rng, lo=-4, hi=7, max_size=6))
-        else:
-            var(range(1, rng.randint(2, 20) + 1))
-    for _ in range(rng.randint(1, 5)):
-        kind = rng.choice(("linear_eq", "linear_leq", "linear_leq", "knapsack", "alldiff", "less"))
-        scope = rng.sample(range(m.num_vars), rng.randint(2, min(6, m.num_vars)))
-        planted = rng.random() >= free
-        if kind == "less":
-            x, y = sorted(scope[:2], key=plant.__getitem__) if planted else scope[:2]
-            m.post(BinaryLess(x, y, strict=plant[x] < plant[y] if planted else rng.random() < 0.5))
-        elif kind == "knapsack":
-            weights = [rng.randint(1, 6) for _ in scope]
-            if planted:  # an item planted at v >= 1 fits in the slack
-                cap = sum(w * max(plant[x], 0) for w, x in zip(weights, scope)) + rng.randint(0, 2)
-            else:
-                cap = rng.randint(0, sum(weights))
-            m.post(BinaryKnapsackAtmost(weights, scope, cap))
-        elif kind == "alldiff":
-            if planted:  # one variable per planted value
-                scope = list({plant[x]: x for x in scope}.values())
-            if len(scope) > 1:
-                m.post(AllDifferent(scope))
-        else:
-            if rng.random() < 0.3:
-                coeffs = [1] * len(scope)
-            else:
-                coeffs = [rng.choice((-5, -3, -2, -1, 1, 2, 3, 5)) for _ in scope]
-            rhs = planted_rhs(coeffs, scope)
-            if kind == "linear_eq":
-                m.post(LinearEq(coeffs, scope, rhs))
-            else:
-                m.post(LinearLeq(coeffs, scope, rhs + rng.randint(0, 3)))
-    return m
 
 
 # the rows' first-written loop, on any domain
@@ -557,7 +475,7 @@ def run_twin_ops(m, rng, ops):
                 decision = last
             else:
                 x = rng.choice(free)
-                decision = (rng.choice(("eq", "ne")), x, rng.choice(ours.domains[x].as_tuple()))
+                decision = (rng.choice(("eq", "ne")), x, rng.choice(tuple(ours.domains[x].values())))
             last = decision
             if op == "probe":
                 for store in stores:
@@ -603,13 +521,13 @@ class TestStatefulPath:
         m.post(LinearLeq([1, 1], [x, z], 4))  # z = 2 gives x <= 2
         m.post(LinearLeq([1, 2], [x, z], 5))  # z = 2 gives x <= 1
         store, engine, res = run_fixpoint(m)
-        assert res.ok and store.domain(z).as_tuple() == (0, 1, 2)
+        assert res.ok and tuple(store.domains[z].values()) == (0, 1, 2)
         store.push_level()
         res = engine.propagate(store, decision=("eq", z, 2))
         assert res.ok
         assert [x, x] in calls
-        assert store.domain(x).as_tuple() == (1,)
-        assert store.domain(y).as_tuple() == (2, 3)
+        assert tuple(store.domains[x].values()) == (1,)
+        assert tuple(store.domains[y].values()) == (2, 3)
 
     def test_states_come_back_on_restore(self):
         """A ``seed_all`` below the root drops every state, and the restore
@@ -693,7 +611,7 @@ class TestStatefulPath:
         assert prop.propagate(high, []) == []
         low = DomainStore.from_specs([(0, 1), (0, 3)])  # {0} and {0, 1}
         assert prop.propagate(low, []) == [1]
-        assert low.domain(1).as_tuple() == (1,)
+        assert tuple(low.domains[1].values()) == (1,)
 
 
 def spied(m, calls):
@@ -778,7 +696,7 @@ class TestUserPropagator:
         assert calls == [(0, []), (1, []), (2, [])]
         calls.clear()
         assert engine.propagate(store, decision=("eq", x, 2)).ok
-        assert store.domain(y).as_tuple() == (0, 1, 3, 4)
+        assert tuple(store.domains[y].values()) == (0, 1, 3, 4)
         assert calls == [(p, [x]), (p, []), (q, [])]
 
 
@@ -806,7 +724,7 @@ class TestToldBounds:
             assert engine.propagate(store, seed_all=True).ok
             calls.clear()
             assert engine.propagate(store, decision=("eq", w, 5)).ok
-            assert store.domain(x).as_tuple() == (1, 2, 3, 4, 6, 7, 8, 9)
+            assert tuple(store.domains[x].values()) == (1, 2, 3, 4, 6, 7, 8, 9)
             runs[name] = calls
         assert runs["ours"] == [(0, [w]), (1, [w]), (r, [y]), (q, [u])]
         assert runs["first"] == [
@@ -828,9 +746,9 @@ class TestToldBounds:
             k = store.push_level()
             assert engine.propagate(store, decision=("ne", x, 0)).ok
             assert calls == [(row, [x])]
-            assert store.domain(y).max == 8
+            assert store.domains[y].max == 8
             store.restore_to(k)
-            assert (store.moved[x], store.domain(y).max) == (0, 9)
+            assert (store.moved[x], store.domains[y].max) == (0, 9)
 
     def test_seed_all_takes_the_current_bounds_as_told(self):
         """A direct store edit leaves x marked; a ``seed_all`` fixpoint
@@ -846,7 +764,7 @@ class TestToldBounds:
         store.tighten_max(x, 5)
         assert store.moved[x] == 1
         assert engine.propagate(store, seed_all=True).ok
-        assert (store.moved[x], store.domain(y).min) == (0, 4)
+        assert (store.moved[x], store.domains[y].min) == (0, 4)
         calls.clear()
         assert engine.propagate(store, decision=("ne", x, 3)).ok
         assert calls == []

@@ -3,8 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdsearch import (
+    AllDifferent,
     BinaryKnapsackAtmost,
     BinaryLess,
     Engine,
@@ -23,7 +25,13 @@ from fdsearch import (
     solve,
 )
 
-from oracles import generate_and_test, random_csp
+from oracles import (
+    ReferenceEngine,
+    generate_and_test,
+    holds,
+    random_csp,
+    random_mixed_model,
+)
 
 HEURISTICS = ("abs", "ibs", "wdeg")
 
@@ -119,6 +127,20 @@ class TestSolveBasics:
             solve(m, "wdeg", all_solutions=True)
         with pytest.raises(ModelError, match=match):
             probe_activities(m)
+
+    def test_duplicate_branch_vars_rejected(self):
+        """A repeated branch variable would be simulated twice by the IBS
+        root probes (20 instead of 16 here), weigh twice in every random
+        tie-break and inflate the restart limit 3 * |branch_vars|."""
+        m = Model()
+        xs = m.add_vars(4, 1, 4)
+        m.post(AllDifferent(xs))
+        with pytest.raises(ModelError, match="duplicate"):
+            m.set_branch_vars([xs[0], *xs])
+        assert m.branch_vars == xs
+        m.set_branch_vars(xs[::-1])
+        assert m.branch_vars == xs[::-1]
+        assert solve(m, "ibs", seed=0).probes == 16
 
 
 class TestBranchAndBound:
@@ -270,7 +292,8 @@ class TestCompleteness:
             model = random_csp(rng)
             stats = solve(model, rng.choice(HEURISTICS), seed=i)
             if stats.status is Status.SOLUTION_FOUND:
-                assert model.check_assignment(stats.best_assignment)
+                values = dict(enumerate(stats.best_assignment))
+                assert all(holds(p, values) for p in model.propagators)
 
 
 class TestDeterminism:
@@ -322,7 +345,9 @@ class TestLimits:
     def test_timeout_returns_partial_stats(self):
         stats = solve(build_magic_square(6), "wdeg", seed=0, timeout=0.15)
         assert stats.status is Status.TIMED_OUT
-        assert stats.wall_time >= 0.15
+        # the deadline is checked before every fixpoint, so the overshoot is
+        # one fixpoint (a few ms); the margin allows for a loaded host
+        assert 0.15 <= stats.wall_time < 0.15 + 0.5
         assert stats.choice_points > 0
 
     def test_no_fixpoint_starts_after_the_deadline(self, monkeypatch):
@@ -357,3 +382,68 @@ class TestLimits:
             solve(build_magic_square(4), "abs", timeout=timeout)
         with pytest.raises(ValueError):
             probe_activities(build_magic_square(4), timeout=timeout)
+
+
+def audited_model(rng: random.Random, mixed: bool) -> Model:
+    """The first model drawn from ``rng`` that ``Model.audit`` accepts
+    (a mixed model can put a knapsack over a domain that is not 0/1)."""
+    while True:
+        m = random_mixed_model(rng) if mixed else random_csp(rng)
+        try:
+            m.audit()
+        except ModelError:
+            continue
+        return m
+
+
+class TestWholeSolveDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_solve_matches_the_reference_engine(self, data):
+        """A whole solve, with its restarts, branch and bound, root
+        shaving and heuristic feedback, explores the same tree when every
+        fixpoint runs the first-written engine loop instead of ``Engine``.
+
+        Sometimes auxiliaries ``z = sum(c * x)`` are added, the branch
+        variables are the original ones in a drawn order, and the
+        objective may be on an auxiliary, as in the knapsack COP."""
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="model seed"))
+        mixed = data.draw(st.booleans(), label="mixed")
+        m = audited_model(rng, mixed)
+        originals = list(range(m.num_vars))
+        for _ in range(data.draw(st.integers(0, 2), label="auxiliaries")):
+            scope = rng.sample(originals, rng.randint(1, min(3, len(originals))))
+            coeffs = [rng.choice((-2, -1, 1, 3)) for _ in scope]
+            doms = [m.initial_domain(x) for x in scope]
+            lo = sum(min(c * d.min, c * d.max) for c, d in zip(coeffs, doms))
+            hi = sum(max(c * d.min, c * d.max) for c, d in zip(coeffs, doms))
+            z = m.add_var(lo, hi)
+            m.post(LinearEq(coeffs + [-1], scope + [z], 0))
+        if m.num_vars > len(originals):
+            m.set_branch_vars(data.draw(st.permutations(originals), label="branch vars"))
+        objective = data.draw(st.sampled_from((None, "max", "min")), label="objective")
+        if objective is not None:
+            z = data.draw(st.integers(0, m.num_vars - 1), label="objective var")
+            (m.maximize if objective == "max" else m.minimize)(z)
+        restart = data.draw(st.sampled_from(("nr", "geo")), label="restart")
+        kwargs = dict(
+            heuristic=data.draw(st.sampled_from(HEURISTICS), label="heuristic"),
+            restart=RestartPolicy.geometric(1.5, 2) if restart == "geo" else RestartPolicy.none(),
+            seed=data.draw(st.integers(0, 2**16), label="seed"),
+            max_failures=data.draw(st.integers(1, 100), label="max_failures"),
+        )
+        if objective is None and restart == "nr" and not mixed:  # few leaves
+            kwargs["all_solutions"] = data.draw(st.booleans(), label="all solutions")
+
+        def tree(stats):
+            return (
+                stats.status, stats.choice_points, stats.failures, stats.restarts,
+                stats.probes, stats.best_assignment, stats.best_objective,
+                stats.all_solutions, [obj for obj, _ in stats.solutions],
+            )
+
+        shipped = tree(solve(m, **kwargs))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("fdsearch.search.Engine", ReferenceEngine)
+            reference = tree(solve(m, **kwargs))
+        assert shipped == reference

@@ -1,7 +1,10 @@
-"""Exit codes of ``tools/trace_diff.py`` on small hand-written result lines."""
+"""``tools/trace_diff.py``'s exit codes on small hand-written result lines,
+and ``tools/surface.py``'s counts on a tiny package."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,33 @@ def test_bad_file_exits_two_naming_it(write, tmp_path, capsys, content):
     assert trace_diff.main([good, bad]) == 2
     err = capsys.readouterr().err.strip()
     assert len(err.splitlines()) == 1 and bad in err
+
+
+def test_surface_counts_lines_code_lines_and_exports(tmp_path):
+    """14 lines: 7 of code, 3 of docstrings, 2 of comments alone and 2
+    blank, and one export.  A string that is not a whole statement is
+    code."""
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text(
+        '"""A tiny\npackage."""\n'
+        "\n"
+        "# re-exported\n"
+        "from .mod import f\n"
+        "\n"
+        "__all__ = [\n"
+        '    "f",\n'
+        "]\n"
+    )
+    (pkg / "mod.py").write_text(
+        "def f(x):\n"
+        '    """Return x plus 15."""\n'
+        '    y = "not a docstring"  # a trailing comment\n'
+        "    return x + len(y)\n"
+        "# end\n"
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "surface.py"), str(tmp_path / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.splitlines() == ["lines 14", "code 7", "exports pkg 1"]
