@@ -56,16 +56,16 @@ HEADER = RUN_COLUMNS + AGG_COLUMNS
 @dataclass
 class RunConfig:
     """One experiment: a benchmark, a heuristic, a restart strategy and the
-    engine parameters (defaults: alpha=8, gamma=0.999, delta=0.2, 50 runs,
-    300 s timeout)."""
+    engine parameters (defaults: those of HeuristicConfig, 50 runs, 300 s
+    timeout)."""
 
     bench: str = "msq:7"
     heuristic: str = "abs"
     restart: str = "nr"  # "nr" or "geo:RHO"
-    alpha: float = 8.0
-    gamma: float = 0.999
-    delta: float = 0.2
-    value_heuristic: bool = True
+    alpha: float = HeuristicConfig.alpha
+    gamma: float = HeuristicConfig.gamma
+    delta: float = HeuristicConfig.delta
+    value_heuristic: bool = HeuristicConfig.value_heuristic
     runs: int = 50
     timeout: float = 300.0
     seed: int = 0

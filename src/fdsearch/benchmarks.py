@@ -115,6 +115,24 @@ def load_bundled_instance(name: str) -> KnapsackInstance:
 # -- model builders --
 
 
+def _nonzero(coeffs: Sequence[int], xs: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The non-zero coefficients and the variables they multiply."""
+    return [c for c in coeffs if c != 0], [x for c, x in zip(coeffs, xs) if c != 0]
+
+
+def _post_rows(m: Model, inst: KnapsackInstance, row_class) -> list[int]:
+    """Declare the 0/1 items and post each weight row over its non-zero
+    weights; a row with no items needs a capacity >= 0.  Returns the items."""
+    xs = m.add_vars(inst.n_items, 0, 1)
+    for row, cap in zip(inst.weights, inst.capacities):
+        weights, scope = _nonzero(row, xs)
+        if scope:
+            m.post(row_class(weights, scope, cap))
+        elif cap < 0:
+            raise ModelError("constraint with no items and negative capacity")
+    return xs
+
+
 def build_knapsack_csp(inst: KnapsackInstance) -> Model:
     """Satisfaction variant: arithmetic encoding of the weight constraints
     plus a linear equality pinning the profit to the known optimum."""
@@ -122,16 +140,8 @@ def build_knapsack_csp(inst: KnapsackInstance) -> Model:
     if inst.optimum is None:
         raise ModelError("the satisfaction variant needs the known optimum")
     m = Model(f"knap-csp-{inst.name or 'anon'}")
-    xs = m.add_vars(inst.n_items, 0, 1)
-    for row, cap in zip(inst.weights, inst.capacities):
-        coeffs = [c for c in row if c != 0]
-        scope = [x for c, x in zip(row, xs) if c != 0]
-        if scope:
-            m.post(LinearLeq(coeffs, scope, cap))
-        elif cap < 0:
-            raise ModelError("constraint with no items and negative capacity")
-    coeffs = [p for p in inst.profits if p != 0]
-    scope = [x for p, x in zip(inst.profits, xs) if p != 0]
+    xs = _post_rows(m, inst, LinearLeq)
+    coeffs, scope = _nonzero(inst.profits, xs)
     if scope:
         m.post(LinearEq(coeffs, scope, inst.optimum))
     elif inst.optimum != 0:
@@ -146,15 +156,9 @@ def build_knapsack_cop(inst: KnapsackInstance) -> Model:
     maximized profit variable."""
     inst.validate()
     m = Model(f"knap-cop-{inst.name or 'anon'}")
-    xs = m.add_vars(inst.n_items, 0, 1)
-    for row, cap in zip(inst.weights, inst.capacities):
-        weights = [c for c in row if c != 0]
-        scope = [x for c, x in zip(row, xs) if c != 0]
-        if scope:
-            m.post(BinaryKnapsackAtmost(weights, scope, cap))
+    xs = _post_rows(m, inst, BinaryKnapsackAtmost)
     obj = m.add_var(0, max(0, sum(p for p in inst.profits if p > 0)), name="profit")
-    coeffs = [p for p in inst.profits if p != 0]
-    scope = [x for p, x in zip(inst.profits, xs) if p != 0]
+    coeffs, scope = _nonzero(inst.profits, xs)
     m.post(LinearEq(coeffs + [-1], scope + [obj], 0))
     m.maximize(obj)
     m.set_branch_vars(xs)
@@ -196,13 +200,7 @@ def build_magic_square(n: int) -> Model:
 
 
 def check_knapsack_csp(inst: KnapsackInstance, values: Sequence[int]) -> bool:
-    xs = values[: inst.n_items]
-    if any(v not in (0, 1) for v in xs):
-        return False
-    for row, cap in zip(inst.weights, inst.capacities):
-        if sum(w * v for w, v in zip(row, xs)) > cap:
-            return False
-    return sum(p * v for p, v in zip(inst.profits, xs)) == inst.optimum
+    return check_knapsack_cop(inst, values, inst.optimum)
 
 
 def check_knapsack_cop(

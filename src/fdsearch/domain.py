@@ -53,16 +53,18 @@ class FiniteDomain:
         self._set_mask((1 << (hi - lo + 1)) - 1)
 
     @classmethod
+    def from_mask(cls, anchor: int, mask: int) -> "FiniteDomain":
+        """The values ``anchor + i`` for each bit ``i`` set in ``mask``."""
+        d = cls(anchor, anchor)
+        d._set_mask(mask)
+        return d
+
+    @classmethod
     def from_values(cls, values: Iterable[int]) -> "FiniteDomain":
         vals = sorted(set(values))
         if not vals:
             raise ValueError("empty domain")
-        d = cls(vals[0], vals[0])
-        mask = 0
-        for v in vals:
-            mask |= 1 << (v - vals[0])
-        d._set_mask(mask)
-        return d
+        return cls.from_mask(vals[0], sum(1 << (v - vals[0]) for v in vals))
 
     def _set_mask(self, mask: int) -> None:
         self.mask = mask
@@ -165,16 +167,6 @@ class DomainStore:
         self.states: dict[int, object] = {}
         self.moved = bytearray(len(self.domains))
         self._saved: list[dict[int, object]] = []  # one states copy per level
-
-    @classmethod
-    def from_specs(cls, specs: Sequence[tuple[int, int]]) -> "DomainStore":
-        """Build from (anchor, mask) pairs, e.g. a model's initial domains."""
-        doms = []
-        for anchor, mask in specs:
-            d = FiniteDomain(anchor, anchor)
-            d._set_mask(mask)
-            doms.append(d)
-        return cls(doms)
 
     @property
     def level(self) -> int:

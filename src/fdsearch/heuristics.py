@@ -152,9 +152,11 @@ def _argbest(candidates: Sequence[int], scores: Sequence[float], rng, largest: b
 
 
 class SearchHeuristic:
-    """Interface the search loop drives; one instance per solve."""
+    """Interface the search loop drives; one instance per solve.
 
-    needs_log_size = False
+    ``initialize`` may use these solver services: ``store``,
+    ``propagate(decision)``, ``free_vars()`` (the unfixed branch variables),
+    ``note_probe_solution()`` and the ``stats.probes`` count."""
 
     def __init__(self, model: Model, config: HeuristicConfig, rng):
         self.model = model
@@ -171,7 +173,7 @@ class SearchHeuristic:
     def select_value(self, x: int, store: DomainStore) -> int:
         raise NotImplementedError
 
-    def on_search_fixpoint(self, kind, x, v, result, store, log_before) -> None:
+    def on_search_fixpoint(self, kind, x, v, result, store) -> None:
         """Called after every search-phase fixpoint (decisions and
         refutations), including failed ones."""
 
@@ -184,14 +186,14 @@ class ImpactSearch(SearchHeuristic):
     maintained during search with the alpha-weighted update.  Branches on
     the variable whose labeling is estimated to leave the least search
     space, i.e. the smallest sum of (1 - impact) over the live values, then
-    on a value of least impact.
+    on a value of least impact.  ``select_value`` records the node's log
+    size, against which the impact of the x = v that follows is measured.
     """
-
-    needs_log_size = True
 
     def __init__(self, model, config, rng):
         super().__init__(model, config, rng)
         self.impact: dict[tuple[int, int], float] = {}
+        self.log_before = 0.0
 
     def initialize(self, solver) -> bool:
         """Probe every root assignment.  The root changes only when a probe
@@ -237,16 +239,17 @@ class ImpactSearch(SearchHeuristic):
         return _argbest(free, scores, self.rng, largest=False)
 
     def select_value(self, x, store):
+        self.log_before = store.search_space_log_size()
         impact = self.impact
         values = list(store.domains[x].values())
         scores = [impact.get((x, a), 0.0) for a in values]
         return _argbest(values, scores, self.rng, largest=False)
 
-    def on_search_fixpoint(self, kind, x, v, result, store, log_before):
+    def on_search_fixpoint(self, kind, x, v, result, store):
         if kind != "eq":
             return  # refutations carry no assignment to score
         if result.ok:
-            impact = 1.0 - math.exp(store.search_space_log_size() - log_before)
+            impact = 1.0 - math.exp(store.search_space_log_size() - self.log_before)
         else:
             impact = 1.0
         _running_average(self.impact, (x, v), impact, self.config.alpha)
@@ -274,19 +277,16 @@ class ActivitySearch(SearchHeuristic):
         cfg = self.config
         store = solver.store
         rng = self.rng
-        branch_vars = self.model.branch_vars
         nvars = self.model.num_vars
         acc = ProbeAccumulator(nvars)
-        stop = False
-        if all(store.domains[x].size == 1 for x in branch_vars):
-            stop = True  # nothing to probe
+        stop = not solver.free_vars()  # nothing to probe
         while not stop and acc.count < _PROBE_CAP:
             vector = [0] * nvars
             decisions: list[tuple[tuple[int, int], int]] = []
             base = store.push_level()
             failed_first = False
             while True:
-                free = [x for x in branch_vars if store.domains[x].size > 1]
+                free = solver.free_vars()
                 if not free:
                     stop = solver.note_probe_solution()
                     break
@@ -331,7 +331,7 @@ class ActivitySearch(SearchHeuristic):
         scores = [table.get((x, a), 0.0) for a in values]
         return _argbest(values, scores, self.rng, largest=False)
 
-    def on_search_fixpoint(self, kind, x, v, result, store, log_before):
+    def on_search_fixpoint(self, kind, x, v, result, store):
         gamma = self.config.gamma
         activity = self.activity
         domains = store.domains
@@ -392,7 +392,7 @@ class WeightedDegreeSearch(SearchHeuristic):
     def select_value(self, x, store):
         return store.domains[x].min
 
-    def on_search_fixpoint(self, kind, x, v, result, store, log_before):
+    def on_search_fixpoint(self, kind, x, v, result, store):
         pid = result.failed
         if pid is not None and 0 <= pid < len(self.weights):
             self.weights[pid] += 1

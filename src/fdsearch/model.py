@@ -36,6 +36,9 @@ class Model:
         return len(self._specs) - 1
 
     def add_var_values(self, values: Iterable[int], name: str = "") -> int:
+        values = list(values)
+        if not values:
+            raise ModelError("empty initial domain")
         d = FiniteDomain.from_values(values)
         self._specs.append((d.anchor, d.mask))
         self.var_names.append(name or f"x{len(self._specs) - 1}")
@@ -88,13 +91,10 @@ class Model:
         return list(range(len(self._specs)))
 
     def initial_domain(self, x: int) -> FiniteDomain:
-        anchor, mask = self._specs[x]
-        d = FiniteDomain(anchor, anchor)
-        d._set_mask(mask)
-        return d
+        return FiniteDomain.from_mask(*self._specs[x])
 
     def new_store(self) -> DomainStore:
-        return DomainStore.from_specs(self._specs)
+        return DomainStore([FiniteDomain.from_mask(a, mask) for a, mask in self._specs])
 
     def audit(self) -> None:
         """Validate structural invariants; raises ModelError on violation."""

@@ -152,13 +152,15 @@ class _Solver:
             self.store, decision, seed_all=seed_all, extra=self._extra
         )
 
+    def free_vars(self) -> list[int]:
+        """The branch variables that are not yet fixed."""
+        domains = self.store.domains
+        return [x for x in self.branch_vars if domains[x].size > 1]
+
     def note_probe_solution(self) -> bool:
-        """A probe reached a leaf; record it.  Returns True when probing
-        should stop (first solution of a satisfaction search)."""
-        if self.all_solutions or self.probe_only:
-            return False  # enumeration/probing must not short-circuit
-        self._record_solution()
-        return self.model.objective is None
+        """A probe reached a leaf; record it unless the solve enumerates or
+        only probes.  True when probing should stop (a satisfaction solve)."""
+        return not (self.all_solutions or self.probe_only) and self._record_solution()
 
     # -- solution bookkeeping --
 
@@ -209,23 +211,15 @@ class _Solver:
         self.stats.wall_time = time.perf_counter() - self._t0
         return self.stats
 
-    def _free_vars(self) -> list[int]:
-        domains = self.store.domains
-        return [x for x in self.branch_vars if domains[x].size > 1]
-
     def _try_branch(self, kind: str, x: int, v: int) -> bool:
         """Push a level, post the branch, propagate, feed the heuristic.
         On failure restores the level, counts the failure, and raises
         _Restart when the round's failure limit is reached.  Returns whether
         the branch is consistent."""
         store = self.store
-        heur = self.heuristic
         level = store.push_level()
-        log_before = 0.0
-        if heur.needs_log_size and kind == "eq":
-            log_before = store.search_space_log_size()
         res = self.propagate((kind, x, v))
-        heur.on_search_fixpoint(kind, x, v, res, store, log_before)
+        self.heuristic.on_search_fixpoint(kind, x, v, res, store)
         if res.ok:
             return True
         store.restore_to(level)
@@ -243,20 +237,17 @@ class _Solver:
         stats = self.stats
         limits = self.restart_policy.round_limits(len(self.branch_vars))
         self._round_end = next(limits)
-        pending: list[tuple[int, int, int]] = []  # (level before push, x, v)
+        pending: list[tuple[int, int, int]] = []  # (level before x = v, x, v)
 
         while True:
             try:
-                free = self._free_vars()
+                free = self.free_vars()
                 if free:
                     x = heur.select_variable(free, store)
                     v = heur.select_value(x, store)
-                    level_before = store.level
                     stats.choice_points += 1
+                    pending.append((store.level, x, v))
                     if self._try_branch("eq", x, v):
-                        pending.append((level_before, x, v))
-                        continue
-                    if self._try_branch("ne", x, v):
                         continue
                 elif self._record_solution():
                     return Status.SOLUTION_FOUND
@@ -280,11 +271,13 @@ class _Solver:
         return Status.PROVED_INFEASIBLE
 
     def _backtrack(self, pending) -> bool:
-        """Work through pending refutations; True once a consistent node is
-        reached, False when the tree is exhausted."""
+        """Post pending refutations, each at its choice point's level; True
+        once a consistent node is reached, False when the tree is exhausted."""
+        store = self.store
         while pending:
-            level_before, x, v = pending.pop()
-            self.store.restore_to(level_before + 1)
+            level, x, v = pending.pop()
+            if store.level > level:
+                store.restore_to(level + 1)
             if self._try_branch("ne", x, v):
                 return True
         return False

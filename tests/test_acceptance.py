@@ -6,7 +6,6 @@ the published experiments: 10 runs, 60 s timeout, trend assertions only.
 """
 
 import functools
-import itertools
 import math
 import random
 import statistics
@@ -18,7 +17,6 @@ import pytest
 from fdsearch import (
     HeuristicConfig,
     Model,
-    RestartPolicy,
     Status,
     build_knapsack_cop,
     load_bundled_instance,
@@ -117,15 +115,15 @@ def test_criterion_3_formula_unit_suite():
     x = m.add_var(1, 4)
     y = m.add_var(1, 4)
     ibs = ImpactSearch(m, HeuristicConfig(kind="ibs"), rng)
-    ibs.on_search_fixpoint("eq", x, 1, PropagationResult(0, []), m.new_store(), 0.0)
+    ibs.on_search_fixpoint("eq", x, 1, PropagationResult(0, []), m.new_store())
     assert ibs.impact[(x, 1)] == 1.0
     # weighted impact update with alpha=8
     store = m.new_store()
-    log_before = store.search_space_log_size()
+    ibs.log_before = store.search_space_log_size()
     store.tighten_max(x, 2)
     store.assign(y, 1)
     ibs.impact[(x, 1)] = 0.5
-    ibs.on_search_fixpoint("eq", x, 1, PropagationResult(None, [x, y]), store, log_before)
+    ibs.on_search_fixpoint("eq", x, 1, PropagationResult(None, [x, y]), store)
     assert ibs.impact[(x, 1)] == pytest.approx(0.546875, abs=1e-9)
     # variable scores over live domain values
     m2 = Model()
@@ -155,10 +153,10 @@ def test_criterion_3_formula_unit_suite():
     v = m4.add_var(1, 4)
     abs_h = ActivitySearch(m4, HeuristicConfig(kind="abs"), rng)
     abs_h.activity[v] = 10.0
-    abs_h.on_search_fixpoint("eq", v, 1, PropagationResult(None, []), m4.new_store(), 0.0)
+    abs_h.on_search_fixpoint("eq", v, 1, PropagationResult(None, []), m4.new_store())
     assert abs_h.activity[v] == pytest.approx(9.99, abs=1e-9)
     abs_h.activity[v] = 10.0
-    abs_h.on_search_fixpoint("eq", v, 1, PropagationResult(None, [v]), m4.new_store(), 0.0)
+    abs_h.on_search_fixpoint("eq", v, 1, PropagationResult(None, [v]), m4.new_store())
     assert abs_h.activity[v] == pytest.approx(10.99, abs=1e-9)
 
     # assignment-activity update with alpha=8
@@ -167,7 +165,7 @@ def test_criterion_3_formula_unit_suite():
     abs_h5 = ActivitySearch(m5, HeuristicConfig(kind="abs"), rng)
     abs_h5.assignment_activity[(xs[0], 1)] = 4.0
     abs_h5.on_search_fixpoint(
-        "eq", xs[0], 1, PropagationResult(None, list(range(12))), m5.new_store(), 0.0
+        "eq", xs[0], 1, PropagationResult(None, list(range(12))), m5.new_store()
     )
     assert abs_h5.assignment_activity[(xs[0], 1)] == pytest.approx(5.0, abs=1e-9)
 

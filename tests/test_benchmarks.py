@@ -2,7 +2,6 @@ import pytest
 
 from fdsearch import (
     AllDifferent,
-    BinaryLess,
     KnapsackInstance,
     LinearEq,
     Model,
@@ -70,6 +69,17 @@ class TestParser:
     def test_unknown_bundled_name(self):
         with pytest.raises(ValueError, match="unknown bundled instance"):
             load_bundled_instance("9-9")
+
+
+@pytest.mark.parametrize("build", (build_knapsack_csp, build_knapsack_cop))
+def test_infeasible_empty_row_rejected_by_both_builders(build):
+    """A weight row with no items and a capacity below 0 can hold for no
+    assignment.  The optimisation builder once dropped it and reported
+    PROVED_OPTIMAL 7 with an assignment that check_knapsack_cop rejects."""
+    inst = KnapsackInstance(2, 2, [3, 4], [[1, 1], [0, 0]], [5, -1], 7, "empty-row")
+    with pytest.raises(ModelError, match="no items and negative capacity"):
+        build(inst)
+    assert not check_knapsack_cop(inst, [1, 1, 7], 7)
 
 
 class TestKnapsackCsp:

@@ -15,7 +15,6 @@ from fdsearch import (
     RestartPolicy,
     Status,
     build_magic_square,
-    solve,
 )
 from fdsearch.engine import PropagationResult
 from fdsearch.heuristics import (
@@ -69,11 +68,11 @@ class TestImpactFormulas:
         y = m.add_var(1, 4)
         heur = self._heuristic(m)
         store = m.new_store()
-        log_before = store.search_space_log_size()  # ln 16
+        heur.log_before = store.search_space_log_size()  # ln 16
         store.tighten_max(x, 2)  # |D(x)| = 2
         store.assign(y, 1)       # |D(y)| = 1 -> ln 2 total
         res = PropagationResult(None, [x, y])
-        heur.on_search_fixpoint("eq", x, 1, res, store, log_before)
+        heur.on_search_fixpoint("eq", x, 1, res, store)
         assert heur.impact[(x, 1)] == pytest.approx(0.875, abs=1e-9)
 
     def test_failure_has_impact_one(self):
@@ -81,7 +80,7 @@ class TestImpactFormulas:
         x = m.add_var(1, 4)
         heur = self._heuristic(m)
         store = m.new_store()
-        heur.on_search_fixpoint("eq", x, 2, PropagationResult(0, []), store, 0.0)
+        heur.on_search_fixpoint("eq", x, 2, PropagationResult(0, []), store)
         assert heur.impact[(x, 2)] == 1.0
 
     def test_weighted_update(self):
@@ -91,10 +90,10 @@ class TestImpactFormulas:
         heur = self._heuristic(m)
         heur.impact[(x, 1)] = 0.5
         store = m.new_store()
-        log_before = store.search_space_log_size()
+        heur.log_before = store.search_space_log_size()
         store.tighten_max(x, 2)
         store.assign(y, 1)
-        heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, [x, y]), store, log_before)
+        heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, [x, y]), store)
         assert heur.impact[(x, 1)] == pytest.approx(0.546875, abs=1e-9)  # (0.5*7 + 0.875)/8
 
     def test_refutation_does_not_touch_the_table(self):
@@ -102,7 +101,7 @@ class TestImpactFormulas:
         x = m.add_var(1, 4)
         heur = self._heuristic(m)
         store = m.new_store()
-        heur.on_search_fixpoint("ne", x, 2, PropagationResult(None, [x]), store, 0.0)
+        heur.on_search_fixpoint("ne", x, 2, PropagationResult(None, [x]), store)
         assert heur.impact == {}
 
     def test_variable_score_and_selection(self):
@@ -199,8 +198,8 @@ class TestWdeg:
         other = m.post(LinearLeq([1], [x], 3))
         heur = WeightedDegreeSearch(m, HeuristicConfig(kind="wdeg"), random.Random(0))
         store = m.new_store()
-        heur.on_search_fixpoint("eq", x, 0, PropagationResult(pid, []), store, 0.0)
-        heur.on_search_fixpoint("ne", x, 1, PropagationResult(pid, []), store, 0.0)
+        heur.on_search_fixpoint("eq", x, 0, PropagationResult(pid, []), store)
+        heur.on_search_fixpoint("ne", x, 1, PropagationResult(pid, []), store)
         assert heur.weights[pid] == 3  # initialized to 1, failed twice
         assert heur.weights[other] == 1
 
@@ -209,7 +208,7 @@ class TestWdeg:
         x = m.add_var(0, 3)
         m.post(LinearLeq([1], [x], 3))
         heur = WeightedDegreeSearch(m, HeuristicConfig(kind="wdeg"), random.Random(0))
-        heur.on_search_fixpoint("eq", x, 0, PropagationResult(-1, []), m.new_store(), 0.0)
+        heur.on_search_fixpoint("eq", x, 0, PropagationResult(-1, []), m.new_store())
         assert heur.weights == [1]
 
     def test_ratio_example(self):
@@ -268,7 +267,7 @@ class TestWdeg:
         assert engine.propagate(store, seed_all=True).ok
         for b in bumps:
             failed = PropagationResult(b % len(heur.weights), [])
-            heur.on_search_fixpoint("eq", 0, 1, failed, store, 0.0)
+            heur.on_search_fixpoint("eq", 0, 1, failed, store)
         for i, j in moves:
             free = [x for x in m.branch_vars if store.domains[x].size > 1]
             if not free:
@@ -278,7 +277,7 @@ class TestWdeg:
             v = values[j % len(values)]
             level = store.push_level()
             res = engine.propagate(store, ("eq", x, v))
-            heur.on_search_fixpoint("eq", x, v, res, store, 0.0)
+            heur.on_search_fixpoint("eq", x, v, res, store)
             if not res.ok:
                 store.restore_to(level)
         free = [x for x in m.branch_vars if store.domains[x].size > 1]
@@ -300,7 +299,7 @@ class TestActivityFormulas:
         x = m.add_var(1, 4)
         heur = self._heuristic(m)
         heur.activity[x] = 10.0
-        heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, []), m.new_store(), 0.0)
+        heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, []), m.new_store())
         assert heur.activity[x] == pytest.approx(9.99, abs=1e-9)
 
     def test_decay_then_increment(self):
@@ -308,7 +307,7 @@ class TestActivityFormulas:
         x = m.add_var(1, 4)
         heur = self._heuristic(m)
         heur.activity[x] = 10.0
-        heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, [x]), m.new_store(), 0.0)
+        heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, [x]), m.new_store())
         assert heur.activity[x] == pytest.approx(10.99, abs=1e-9)
 
     def test_gamma_one_is_pure_counting(self):
@@ -318,7 +317,7 @@ class TestActivityFormulas:
         heur.activity[x] = 3.0
         store = m.new_store()
         for _ in range(5):
-            heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, [x]), store, 0.0)
+            heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, [x]), store)
         assert heur.activity[x] == pytest.approx(8.0, abs=1e-12)
 
     def test_bound_variables_are_frozen(self):
@@ -327,7 +326,7 @@ class TestActivityFormulas:
         y = m.add_var(2, 2)
         heur = self._heuristic(m)
         heur.activity[x] = heur.activity[y] = 10.0
-        heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, []), m.new_store(), 0.0)
+        heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, []), m.new_store())
         assert heur.activity[y] == 10.0  # no aging for bound variables
         assert heur.activity[x] == pytest.approx(9.99, abs=1e-9)
 
@@ -337,7 +336,7 @@ class TestActivityFormulas:
         heur = self._heuristic(m)
         heur.assignment_activity[(xs[0], 1)] = 4.0
         res = PropagationResult(None, list(range(12)))
-        heur.on_search_fixpoint("eq", xs[0], 1, res, m.new_store(), 0.0)
+        heur.on_search_fixpoint("eq", xs[0], 1, res, m.new_store())
         assert heur.assignment_activity[(xs[0], 1)] == pytest.approx(5.0, abs=1e-9)
 
     def test_assignment_activity_counts_affected_before_wipeout(self):
@@ -345,7 +344,7 @@ class TestActivityFormulas:
         xs = m.add_vars(4, 0, 1)
         heur = self._heuristic(m)
         res = PropagationResult(2, [xs[0], xs[1]])  # failed after shrinking two
-        heur.on_search_fixpoint("eq", xs[0], 1, res, m.new_store(), 0.0)
+        heur.on_search_fixpoint("eq", xs[0], 1, res, m.new_store())
         assert heur.assignment_activity[(xs[0], 1)] == 2.0
 
     def test_value_heuristic_disabled_is_a_noop_table(self):
@@ -353,7 +352,7 @@ class TestActivityFormulas:
         x = m.add_var(0, 3)
         heur = self._heuristic(m, value_heuristic=False)
         assert heur.assignment_activity is None
-        heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, [x]), m.new_store(), 0.0)
+        heur.on_search_fixpoint("eq", x, 1, PropagationResult(None, [x]), m.new_store())
         assert heur.select_value(x, m.new_store()) == 0  # ascending order
 
     def test_variable_selection_highest_ratio(self):
@@ -620,7 +619,7 @@ class TestReplayFidelity:
             v = rng.randint(0, 4)
             failed = rng.random() < 0.3
             res = PropagationResult(0 if failed else None, affected)
-            heur.on_search_fixpoint(kind, x, v, res, store, 0.0)
+            heur.on_search_fixpoint(kind, x, v, res, store)
             free = [y for y in xs if store.domains[y].size > 1]
             for y in free:
                 ref_activity[y] *= gamma

@@ -366,7 +366,8 @@ class TestFirstWrittenFiltering:
         advised of the narrowed variable and updates the state."""
         rng = random.Random(seed)
         prop, specs = random_filtering_case(rng, kind)
-        ours, theirs = DomainStore.from_specs(specs), DomainStore.from_specs(specs)
+        ours = DomainStore([FiniteDomain.from_mask(a, mask) for a, mask in specs])
+        theirs = DomainStore([FiniteDomain.from_mask(a, mask) for a, mask in specs])
         advice = []
         for _ in range(3):
             ours.push_level()
@@ -607,9 +608,9 @@ class TestStatefulPath:
         """One AllDifferent called on two stores: the lowest anchor of the
         scope comes from the store at hand, not from the first store."""
         prop = AllDifferent([0, 1])
-        high = DomainStore.from_specs([(5, 3), (5, 3)])  # {5, 6} twice
+        high = DomainStore([FiniteDomain.from_mask(5, 3), FiniteDomain.from_mask(5, 3)])  # {5, 6} twice
         assert prop.propagate(high, []) == []
-        low = DomainStore.from_specs([(0, 1), (0, 3)])  # {0} and {0, 1}
+        low = DomainStore([FiniteDomain.from_mask(0, 1), FiniteDomain.from_mask(0, 3)])  # {0} and {0, 1}
         assert prop.propagate(low, []) == [1]
         assert tuple(low.domains[1].values()) == (1,)
 

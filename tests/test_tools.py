@@ -1,6 +1,8 @@
 """``tools/trace_diff.py``'s exit codes on small hand-written result lines,
-and ``tools/surface.py``'s counts on a tiny package."""
+``tools/surface.py``'s counts on a tiny package, and a check for unused
+imports."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -109,3 +111,44 @@ def test_surface_counts_lines_code_lines_and_exports(tmp_path):
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.splitlines() == ["lines 14", "code 7", "exports pkg 1"]
+
+
+def unused_imports(source):
+    """The names ``source`` imports, other than from ``__future__``, that
+    no ``Name`` node reads and that ``__all__`` does not list."""
+    tree = ast.parse(source)
+    imported, exported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) == "__all__" for t in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - used - exported)
+
+
+def test_unused_imports_finds_what_nothing_reads():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, sys\n"
+        "from math import pi as PI, tau\n"
+        "from json import dumps\n"
+        "__all__ = ['dumps']\n"
+        "print(os.path.sep, PI)\n"
+    )
+    assert unused_imports(source) == ["sys", "tau"]
+
+
+def test_no_unused_imports():
+    """Over the package, its tests, tools and demos; the benchmark harness
+    under ``perfbench/`` is left out."""
+    found = {
+        str(path.relative_to(ROOT)): names
+        for folder in ("src", "tests", "tools", "demos")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
