@@ -25,7 +25,7 @@ x = m.add_var(0, 5, "x")
 y = m.add_var(0, 3, "y")
 m.post(LinearEq([2, 1], [x, y], 10))
 store = m.new_store()
-res = Engine(m.num_vars, m.propagators).propagate(store, seed_all=True)
+res = Engine(m.num_vars, m.propagators).propagate(store)
 print("2x + y = 10 with x in 0..5, y in 0..3 propagates to:")
 show(store, m, "xy")
 print("affected:", res.affected)
@@ -37,7 +37,7 @@ b = m.add_var_values([1, 3], "b")
 c = m.add_var_values([3, 4], "c")
 m.post(AllDifferent([a, b, c]))
 store = m.new_store()
-Engine(m.num_vars, m.propagators).propagate(store, seed_all=True)
+Engine(m.num_vars, m.propagators).propagate(store)
 print("a=3 knocks 3 out of b and c, binding both:")
 show(store, m, "abc")
 
@@ -57,5 +57,5 @@ m = Model()
 p = m.add_var(5, 5, "p")
 q = m.add_var(1, 5, "q")
 first = m.post(BinaryLess(p, q))
-res = Engine(m.num_vars, m.propagators).propagate(m.new_store(), seed_all=True)
+res = Engine(m.num_vars, m.propagators).propagate(m.new_store())
 print(f"p < q with p=5, q in 1..5 -> failed={res.failed} (the p<q constraint, id {first})")

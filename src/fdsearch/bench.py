@@ -57,7 +57,10 @@ HEADER = RUN_COLUMNS + AGG_COLUMNS
 class RunConfig:
     """One experiment: a benchmark, a heuristic, a restart strategy and the
     engine parameters (defaults: those of HeuristicConfig, 50 runs, 300 s
-    timeout)."""
+    timeout).  The constructor rejects runs or threads below 1, a timeout
+    that is not positive, and a restart or heuristic setting that
+    ``parse_restart`` or ``HeuristicConfig`` rejects; the benchmark is
+    checked when it is built."""
 
     bench: str = "msq:7"
     heuristic: str = "abs"
@@ -70,6 +73,16 @@ class RunConfig:
     timeout: float = 300.0
     seed: int = 0
     threads: Optional[int] = None
+
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ValueError("--runs must be at least 1")
+        if self.threads is not None and self.threads < 1:
+            raise ValueError("--threads must be at least 1")
+        if not self.timeout > 0:
+            raise ValueError("--timeout must be positive")
+        parse_restart(self.restart)
+        heuristic_config(self)
 
 
 @dataclass
@@ -130,13 +143,7 @@ def run_single(config: RunConfig, run_id: int, seed: int) -> dict:
             timeout=config.timeout,
         )
     except Exception as exc:  # one broken run must not end the experiment
-        return {
-            "run_id": run_id,
-            "seed": seed,
-            "status": ERROR,
-            "time_s": round(time.perf_counter() - start, 6),
-            "error": repr(exc),
-        }
+        return _error_row(run_id, seed, start, exc)
     return {
         "run_id": run_id,
         "seed": seed,
@@ -149,6 +156,13 @@ def run_single(config: RunConfig, run_id: int, seed: int) -> dict:
         "objective": stats.best_objective,
         "probes": stats.probes,
     }
+
+
+def _error_row(run_id: int, seed: int, start: float, exc: BaseException) -> dict:
+    """The row of a run that raised ``exc``; ``start`` is the
+    ``time.perf_counter()`` reading when the run began."""
+    return {"run_id": run_id, "seed": seed, "status": ERROR,
+            "time_s": round(time.perf_counter() - start, 6), "error": repr(exc)}
 
 
 def _thread_budget(config: RunConfig) -> int:
@@ -196,7 +210,8 @@ def aggregate_rows(rows: Sequence[dict], timeout: float) -> dict:
 def run_experiment(config: RunConfig) -> RunRecord:
     """Run ``config.runs`` independent solves with seeds seed..seed+runs-1,
     optionally in parallel; aggregation order is fixed by seed order, so the
-    output is thread-count independent."""
+    output is thread-count independent.  When a worker process dies, its
+    run and every run the pool had not finished give error rows."""
     ids = range(config.runs)
     seeds = range(config.seed, config.seed + config.runs)
     workers = _thread_budget(config)
@@ -204,9 +219,17 @@ def run_experiment(config: RunConfig) -> RunRecord:
         rows = list(map(run_single, repeat(config), ids, seeds))
     else:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        start = time.perf_counter()
+        rows = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_single, repeat(config), ids, seeds))
+            futures = list(map(pool.submit, repeat(run_single), repeat(config), ids, seeds))
+            for future, run_id, seed in zip(futures, ids, seeds):
+                try:
+                    rows.append(future.result())
+                except BrokenProcessPool as exc:
+                    rows.append(_error_row(run_id, seed, start, exc))
     return RunRecord(config, rows, aggregate_rows(rows, config.timeout))
 
 
@@ -315,24 +338,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     names = {f.name for f in fields(RunConfig)}
-    config = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
     values: list[float] = []
     try:
-        if config.runs < 1:
-            raise ValueError("--runs must be at least 1")
-        if config.threads is not None and config.threads < 1:
-            raise ValueError("--threads must be at least 1")
-        if not config.timeout > 0:
-            raise ValueError("--timeout must be positive")
+        config = RunConfig(**{k: v for k, v in vars(args).items() if k in names})
         build_benchmark(config.bench)  # fail fast on bad selectors
-        parse_restart(config.restart)
-        heuristic_config(config)
         if args.command == "sweep":
             values = [float(v) for v in args.values.split(",") if v]
             if not values:
                 raise ValueError("--values must list at least one number")
             for v in values:
-                heuristic_config(replace(config, **{args.param: v}))
+                replace(config, **{args.param: v})  # RunConfig checks each value
     except (ValueError, OSError) as exc:
         parser.error(str(exc))  # exits with code 2
 

@@ -4,8 +4,9 @@ A domain is an anchored bitmask: bit ``i`` of ``mask`` set means the value
 ``anchor + i`` is present.  Python ints are immutable, so a trail snapshot
 is just the old mask reference; restoring a level re-installs saved masks
 in reverse order, which makes restoration exact by construction.  The
-store also keeps the propagator states, a copy of them per level, and a
-mark per variable whose bounds moved since its watchers were last advised.
+store keeps the one stack of levels (each level's trail start and a copy
+of the propagator states), the states themselves, and a mark per variable
+whose bounds moved since its watchers were last advised.
 """
 
 from __future__ import annotations
@@ -94,25 +95,20 @@ class FiniteDomain:
 class Trail:
     """Chronological undo log of (var, old mask) pairs.
 
-    The log is cut into segments: a new one starts at each ``push``, each
-    ``pop_to`` and each ``segment`` call.  A variable is logged at most once
-    per segment, when it first shrinks there, so the entries of a segment
-    list exactly the variables it shrank.  A level may span several
-    segments and hold several entries for one variable; replaying them in
-    reverse reinstalls the oldest mask last.
+    The log is cut into segments: a new one starts at each ``segment`` and
+    each ``pop_to`` call.  A variable is logged at most once per segment,
+    when it first shrinks there, so the entries of a segment list exactly
+    the variables it shrank.  A store level may span several segments and
+    hold several entries for one variable; replaying them in reverse
+    reinstalls the oldest mask last.
     """
 
-    __slots__ = ("entries", "_marks", "_epoch", "_stamps")
+    __slots__ = ("entries", "_epoch", "_stamps")
 
     def __init__(self, nvars: int):
         self.entries: list[tuple[int, int]] = []
-        self._marks: list[int] = []
         self._epoch = 0
         self._stamps = [-1] * nvars
-
-    @property
-    def level(self) -> int:
-        return len(self._marks)
 
     def record(self, x: int, mask: int) -> None:
         if self._stamps[x] != self._epoch:
@@ -124,18 +120,11 @@ class Trail:
         self._epoch += 1
         return len(self.entries)
 
-    def push(self) -> int:
-        self._marks.append(self.segment())
-        return len(self._marks)
-
-    def pop_to(self, k: int) -> list[tuple[int, int]]:
-        """Drop levels ``k`` and deeper; return their entries (in push order)."""
-        if not 1 <= k <= self.level:
-            raise ValueError(f"cannot restore to level {k} from level {self.level}")
-        target = self._marks[k - 1]
-        undo = self.entries[target:]
-        del self.entries[target:]
-        del self._marks[k - 1:]
+    def pop_to(self, start: int) -> list[tuple[int, int]]:
+        """Cut the log at index ``start``, start a new segment and return
+        the cut entries (in the order they were logged)."""
+        undo = self.entries[start:]
+        del self.entries[start:]
         self.segment()
         return undo
 
@@ -146,10 +135,12 @@ class DomainStore:
 
     ``states`` maps a propagator id to the summary of its scope that the
     propagator keeps between engine calls (see ``Engine.propagate``); a
-    missing id means none.  ``push_level`` saves a shallow copy of the
-    dict and ``restore_to`` reinstalls it, so a state is replaced by
-    assignment to ``states[pid]``, never mutated in place, and nothing may
-    hold on to ``states`` across a restore.
+    missing id means none.  Each level is one pair on a stack: the trail
+    index where the level starts and a shallow copy of ``states``.
+    ``push_level`` pushes it and ``restore_to`` cuts the trail there and
+    reinstalls the copy, so a state is replaced by assignment to
+    ``states[pid]``, never mutated in place, and nothing may hold on to
+    ``states`` across a restore.
 
     ``moved[x]`` is set by the shrink operation that moves a bound of
     ``x``: ``tighten_min``, ``tighten_max`` and ``assign`` always, and
@@ -159,32 +150,34 @@ class DomainStore:
     calls unless the store was edited directly.
     """
 
-    __slots__ = ("domains", "trail", "states", "moved", "_saved")
+    __slots__ = ("domains", "trail", "states", "moved", "_levels")
 
     def __init__(self, domains: Sequence[FiniteDomain]):
         self.domains: list[FiniteDomain] = list(domains)
         self.trail = Trail(len(self.domains))
         self.states: dict[int, object] = {}
         self.moved = bytearray(len(self.domains))
-        self._saved: list[dict[int, object]] = []  # one states copy per level
+        self._levels: list[tuple[int, dict[int, object]]] = []  # (trail start, states)
 
     @property
     def level(self) -> int:
-        return self.trail.level
+        return len(self._levels)
 
     def push_level(self) -> int:
-        self._saved.append(self.states.copy())
-        return self.trail.push()
+        self._levels.append((self.trail.segment(), self.states.copy()))
+        return len(self._levels)
 
     def restore_to(self, k: int) -> None:
         """Rewind every domain and propagator state to what it was when
         ``push_level`` returned ``k``; leaves the store at level ``k - 1``.
         Changes made at level 0 (the root) are permanent."""
-        undo = self.trail.pop_to(k)
-        self.states = self._saved[k - 1]
-        del self._saved[k - 1:]
+        levels = self._levels
+        if not 1 <= k <= len(levels):
+            raise ValueError(f"cannot restore to level {k} from level {len(levels)}")
+        start, self.states = levels[k - 1]
+        del levels[k - 1:]
         domains = self.domains
-        for x, mask in reversed(undo):
+        for x, mask in reversed(self.trail.pop_to(start)):
             domains[x]._set_mask(mask)
 
     def forget_states(self) -> None:

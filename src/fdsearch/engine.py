@@ -65,18 +65,17 @@ class Engine:
         self,
         store: DomainStore,
         decision: Optional[tuple[str, int, int]] = None,
-        seed_all: bool = False,
         extra: Sequence[int] = (),
     ) -> PropagationResult:
-        """Run to fixpoint from a seed.
+        """Run to fixpoint from a decision, or from every propagator.
 
         ``decision`` is ("eq", x, v) or ("ne", x, v) and is applied to the
         store first; its own domain change counts toward ``affected``.
-        ``seed_all`` schedules every propagator (root propagation) and makes
-        the store forget every propagator state and mark, so each state is
-        rebuilt by a scope scan: run it after editing the store directly.
-        ``extra`` schedules explicit propagator ids (e.g. an objective
-        bound).
+        A fixpoint without a decision (root propagation) schedules every
+        propagator and makes the store forget every propagator state and
+        mark, so each state is rebuilt by a scope scan: run one after
+        editing the store directly.  ``extra`` schedules explicit
+        propagator ids (e.g. an objective bound).
 
         The decision and every ``changed`` list go through one step: each
         watcher of a changed variable is scheduled, in FIFO order, and if
@@ -108,19 +107,18 @@ class Engine:
         queue: deque[int] = deque()
         scheduled = bytearray(len(props))
         seeds: Sequence[int] = extra
-        if seed_all:
+        changed: Sequence[int] = ()
+        if decision is None:
             store.forget_states()
             seeds = range(len(props))
-        states = store.states
-
-        changed: Sequence[int] = ()
-        if decision is not None:
+        else:
             kind, x, v = decision
             out = store.assign(x, v) if kind == "eq" else store.remove_value(x, v)
             if out is WOULD_EMPTY:
                 return PropagationResult(DECISION, [])
             if out is SHRUNK:
                 changed = (x,)
+        states = store.states
 
         pop = queue.popleft
         push = queue.append

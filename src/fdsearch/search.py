@@ -144,13 +144,12 @@ class _Solver:
 
     # -- services used by heuristics during initialization --
 
-    def propagate(self, decision=None, seed_all=False) -> PropagationResult:
-        """One fixpoint; raises _Timeout instead once the deadline has passed."""
+    def propagate(self, decision=None) -> PropagationResult:
+        """One fixpoint, from every propagator when there is no decision;
+        raises _Timeout instead once the deadline has passed."""
         if self._deadline is not None and time.perf_counter() >= self._deadline:
             raise _Timeout
-        return self.engine.propagate(
-            self.store, decision, seed_all=seed_all, extra=self._extra
-        )
+        return self.engine.propagate(self.store, decision, self._extra)
 
     def free_vars(self) -> list[int]:
         """The branch variables that are not yet fixed."""
@@ -192,7 +191,7 @@ class _Solver:
             self._deadline = self._t0 + self.timeout
         stats = self.stats
         try:
-            root = self.propagate(seed_all=True)
+            root = self.propagate()
             if not root.ok:
                 return self._finish(Status.PROVED_INFEASIBLE)
             if not self.heuristic.initialize(self):

@@ -4,8 +4,9 @@ Everything here evaluates constraint semantics directly from propagator
 parameters (kind, coefficients, bounds); none of it calls the library's
 filtering code, so agreement is meaningful.  The reference filtering loops
 at the end change domains only through ``DomainStore``'s shrink operations,
-and ``ReferenceEngine`` runs any propagators to a fixpoint the way the
-first-written engine did.
+``ReferenceEngine`` runs any propagators to a fixpoint the way the
+first-written engine did, and ``FirstWrittenEngine`` runs it over stateless
+twins that call those loops.
 """
 
 from __future__ import annotations
@@ -313,6 +314,24 @@ def random_mixed_model(rng):
     return m
 
 
+def random_planted_sums(rng):
+    """A magic-square-like model: 7 to 9 variables over 1..hi, one
+    alldifferent over all of them and 3 to 5 equalities over subsets, each
+    holding for planted distinct values.  Random dives rarely reach a leaf
+    of it, so ABS probing seldom ends the solve."""
+    m = Model("planted-sums")
+    k = rng.randint(7, 9)
+    hi = rng.randint(k, k + 4)
+    plant = rng.sample(range(1, hi + 1), k)
+    xs = m.add_vars(k, 1, hi)
+    m.post(AllDifferent(xs))
+    for _ in range(rng.randint(3, 5)):
+        scope = rng.sample(xs, rng.randint(3, k))
+        coeffs = [rng.choice((1, 1, 2, -1)) for _ in scope]
+        m.post(LinearEq(coeffs, scope, sum(c * plant[x] for c, x in zip(coeffs, scope))))
+    return m
+
+
 # -- first-written filtering loops, as references for the optimised ones --
 #
 # Copies of the ``propagate`` bodies of ``_Linear``, ``AllDifferent`` and
@@ -449,13 +468,40 @@ def knapsack_propagate(self, store: DomainStore) -> Optional[list[int]]:
     return changed
 
 
+# each kind's first-written loop, for single calls on any domain
+REFERENCES = {
+    "linear_eq": linear_propagate,
+    "linear_leq": linear_propagate,
+    "alldifferent": alldifferent_propagate,
+    "binary_knapsack_atmost": knapsack_propagate,
+}
+
+# the rows' first-written loop, on any domain
+TWIN_REFERENCES = {
+    **REFERENCES, "binary_knapsack_atmost": linear_propagate, "binary_less": linear_propagate,
+}
+
+
+class _Reference:
+    """Stateless twin of ``prop`` that runs its first-written loop."""
+
+    def __init__(self, prop):
+        self.prop = prop
+        self.pid = prop.pid
+        self.scope = prop.scope
+
+    def propagate(self, store, advice):
+        return TWIN_REFERENCES[self.prop.kind](self.prop, store)
+
+
 class ReferenceEngine:
     """The first-written fixpoint loop, with ``Engine.propagate``'s
     signature: every change of a variable advises and schedules each of its
     watchers (FIFO, each queued at most once), every popped propagator is
-    called with the advice gathered since its previous call, ``seed_all``
-    and a failure drop every propagator state.  It never reads the
-    bound-moved marks, so it can check an engine that skips calls on them."""
+    called with the advice gathered since its previous call, a fixpoint
+    without a decision and a failure drop every propagator state.  It never
+    reads the bound-moved marks, so it can check an engine that skips calls
+    on them."""
 
     def __init__(self, nvars: int, propagators):
         self.propagators = list(propagators)
@@ -464,7 +510,7 @@ class ReferenceEngine:
             for x in p.scope:
                 self.watchers[x].append(p.pid)
 
-    def propagate(self, store: DomainStore, decision=None, seed_all=False, extra=()):
+    def propagate(self, store: DomainStore, decision=None, extra=()):
         start = store.trail.segment()
         queue: deque[int] = deque()
         advice: dict[int, list[int]] = {p.pid: [] for p in self.propagators}
@@ -481,17 +527,17 @@ class ReferenceEngine:
         def affected() -> list[int]:
             return [x for x, _ in store.trail.entries[start:]]
 
-        if decision is not None:
+        if decision is None:
+            store.forget_states()
+            for p in self.propagators:
+                schedule(p.pid)
+        else:
             kind, x, v = decision
             out = store.assign(x, v) if kind == "eq" else store.remove_value(x, v)
             if out is WOULD_EMPTY:
                 return PropagationResult(DECISION, [])
             if out is SHRUNK:
                 changed_var(x)
-        if seed_all:
-            store.forget_states()
-            for p in self.propagators:
-                schedule(p.pid)
         for pid in extra:
             schedule(pid)
         while queue:
@@ -504,3 +550,14 @@ class ReferenceEngine:
             for x in changed:
                 changed_var(x)
         return PropagationResult(None, affected())
+
+
+class FirstWrittenEngine(ReferenceEngine):
+    """``ReferenceEngine`` with each propagator of a ``TWIN_REFERENCES``
+    kind replaced by its stateless twin; the others (user propagators,
+    ``ObjectiveBound``) have no first-written loop and run as themselves."""
+
+    def __init__(self, nvars: int, propagators):
+        super().__init__(
+            nvars, [_Reference(p) if p.kind in TWIN_REFERENCES else p for p in propagators]
+        )

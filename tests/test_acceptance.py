@@ -86,7 +86,7 @@ def test_criterion_2_propagator_oracle_equivalence():
             model, domains = random_propagator_instance(rng, kind)
             store = model.new_store()
             engine = Engine(model.num_vars, model.propagators)
-            res = engine.propagate(store, seed_all=True)
+            res = engine.propagate(store)
             prop = model.propagators[0]
             expected = reference_filter(prop, domains)
             if expected is None:

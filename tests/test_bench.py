@@ -1,5 +1,6 @@
 import csv
 import io
+import multiprocessing
 import os
 import statistics
 import subprocess
@@ -173,6 +174,37 @@ class TestRunExperiment:
         lines = csv_of(record).splitlines()
         assert lines[2].startswith("1,1,error,")
         assert lines[2].split(",")[4:9] == [""] * 5  # no counts, no objective
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched solve reaches the workers only through fork",
+    )
+    def test_dying_worker_gives_error_rows(self, monkeypatch):
+        """A worker that dies outright breaks the pool: its run and each run
+        the pool had not finished give an error row, and the finished rows
+        are kept."""
+        real_solve = fdsearch.bench.solve
+
+        def solve(model, heuristic, **kw):
+            if kw["seed"] == 1:
+                os._exit(1)
+            return real_solve(model, heuristic, **kw)
+
+        monkeypatch.setattr(fdsearch.bench, "solve", solve)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one core
+        record = run_experiment(RunConfig(bench="msq:4", runs=4, threads=2, timeout=5))
+        assert [(r["run_id"], r["seed"]) for r in record.rows] == [(i, i) for i in range(4)]
+        assert "BrokenProcessPool" in record.rows[1]["error"]
+        assert {r["status"] for r in record.rows} <= {"solution", "error"}
+        assert record.aggregate["n_error"] == sum(r["status"] == "error" for r in record.rows)
+
+    def test_config_rejects_what_the_cli_rejects(self):
+        for bad in (
+            dict(timeout=-1), dict(runs=0), dict(threads=0),
+            dict(restart="geo:0.5"), dict(heuristic="xyz"),
+        ):
+            with pytest.raises(ValueError):
+                RunConfig(bench="msq:4", **bad)
 
 
 class TestSweep:

@@ -248,7 +248,7 @@ class TestBoundMovedMarks:
 class TestTrailInternals:
     def test_one_snapshot_per_var_per_level(self):
         t = Trail(2)
-        t.push()
+        t.segment()
         t.record(0, 0b111)
         t.record(0, 0b011)  # second change at same level: no new entry
         t.record(1, 0b101)

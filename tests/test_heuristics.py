@@ -34,7 +34,7 @@ def make_solver(model, kind="abs", seed=0, probe_only=False, **cfg):
         model, config, RestartPolicy.none(), seed, None, None, False,
         probe_only=probe_only,
     )
-    root = solver.propagate(seed_all=True)
+    root = solver.propagate()
     assert root.ok
     return solver
 
@@ -264,7 +264,7 @@ class TestWdeg:
         heur = WeightedDegreeSearch(m, HeuristicConfig(kind="wdeg"), random.Random(seed))
         engine = Engine(m.num_vars, m.propagators)
         store = m.new_store()
-        assert engine.propagate(store, seed_all=True).ok
+        assert engine.propagate(store).ok
         for b in bumps:
             failed = PropagationResult(b % len(heur.weights), [])
             heur.on_search_fixpoint("eq", 0, 1, failed, store)

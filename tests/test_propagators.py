@@ -20,11 +20,10 @@ from fdsearch.bench import build_benchmark
 from fdsearch.domain import SHRUNK, WOULD_EMPTY
 
 from oracles import (
-    alldifferent_propagate,
+    REFERENCES,
+    FirstWrittenEngine,
     exact_filter,
     generate_and_test,
-    knapsack_propagate,
-    linear_propagate,
     ReferenceEngine,
     random_csp,
     random_domain,
@@ -39,7 +38,7 @@ KINDS = ("linear_eq", "linear_leq", "alldifferent", "binary_knapsack_atmost", "b
 def run_fixpoint(model):
     store = model.new_store()
     engine = Engine(model.num_vars, model.propagators)
-    result = engine.propagate(store, seed_all=True)
+    result = engine.propagate(store)
     return store, engine, result
 
 
@@ -249,9 +248,9 @@ class TestEngine:
             m, _ = random_propagator_instance(rng, kind)
             store = m.new_store()
             engine = Engine(m.num_vars, m.propagators)
-            first = engine.propagate(store, seed_all=True)
+            first = engine.propagate(store)
             if first.ok:
-                second = engine.propagate(store, seed_all=True)
+                second = engine.propagate(store)
                 assert second.ok and second.affected == []
 
     def test_decision_is_part_of_affected(self):
@@ -293,7 +292,7 @@ class TestEngine:
             shrunk = [x for x, d in enumerate(store.domains) if d.size < sizes0[x]]
             assert sorted(res.affected) == shrunk  # hence also no duplicates
 
-        fixpoint(seed_all=True)
+        fixpoint()
         for op in ops:
             if op == "push":
                 assert store.push_level() == len(pushed) + 1
@@ -345,14 +344,6 @@ def random_filtering_case(rng, kind):
     return prop, [(vs[0], sum(1 << (v - vs[0]) for v in vs)) for vs in values]
 
 
-REFERENCES = {
-    "linear_eq": linear_propagate,
-    "linear_leq": linear_propagate,
-    "alldifferent": alldifferent_propagate,
-    "binary_knapsack_atmost": knapsack_propagate,
-}
-
-
 class TestFirstWrittenFiltering:
     @pytest.mark.parametrize("kind", REFERENCES)
     @settings(max_examples=500, deadline=None)
@@ -389,24 +380,6 @@ class TestFirstWrittenFiltering:
             advice = [x]
 
 
-# the rows' first-written loop, on any domain
-TWIN_REFERENCES = {
-    **REFERENCES, "binary_knapsack_atmost": linear_propagate, "binary_less": linear_propagate,
-}
-
-
-class _Reference:
-    """Stateless twin of ``prop`` that runs its first-written loop."""
-
-    def __init__(self, prop):
-        self.prop = prop
-        self.pid = prop.pid
-        self.scope = prop.scope
-
-    def propagate(self, store, advice):
-        return TWIN_REFERENCES[self.prop.kind](self.prop, store)
-
-
 def twins(m):
     """Three stores of ``m`` and ``fixpoint(**kw)``, which runs ``Engine``
     with the stateful propagators on ours and ``ReferenceEngine`` with the
@@ -418,11 +391,9 @@ def twins(m):
     same states as ours, so every skipped call would have written
     nothing."""
     ours, theirs, called = m.new_store(), m.new_store(), m.new_store()
-    # user propagators have no first-written loop: they run as themselves
-    twin_props = [_Reference(p) if p.kind in TWIN_REFERENCES else p for p in m.propagators]
     engines = (
         (Engine(m.num_vars, m.propagators), ours),
-        (ReferenceEngine(m.num_vars, twin_props), theirs),
+        (FirstWrittenEngine(m.num_vars, m.propagators), theirs),
         (ReferenceEngine(m.num_vars, m.propagators), called),
     )
 
@@ -440,7 +411,7 @@ def twins(m):
 
 TWIN_OPS = st.lists(
     st.sampled_from(
-        ("push", "fixpoint", "fixpoint", "fixpoint", "probe", "restore", "restore_1", "seed_all")
+        ("push", "fixpoint", "fixpoint", "fixpoint", "probe", "restore", "restore_1", "root")
     ),
     max_size=40,
 )
@@ -450,10 +421,10 @@ def run_twin_ops(m, rng, ops):
     """Runs ``ops`` on the ``twins(m)`` stores after a root fixpoint: pushes,
     decision fixpoints (some at level 0, some failing, then restored or
     not, some probes restored at once, often repeating the previous
-    decision), restores and rescanning ``seed_all`` fixpoints."""
+    decision), restores and rescanning fixpoints without a decision."""
     stores, fixpoint = twins(m)
     ours = stores[0]
-    if not fixpoint(seed_all=True):
+    if not fixpoint():
         return
     last = None
     for op in ops:
@@ -465,8 +436,8 @@ def run_twin_ops(m, rng, ops):
                 k = 1 if op == "restore_1" else rng.randint(1, ours.level)
                 for store in stores:
                     store.restore_to(k)
-        elif op == "seed_all":
-            fixpoint(seed_all=True)
+        elif op == "root":
+            fixpoint()
         else:
             free = [x for x, d in enumerate(ours.domains) if d.size > 1]
             if not free:
@@ -531,16 +502,16 @@ class TestStatefulPath:
         assert tuple(store.domains[y].values()) == (2, 3)
 
     def test_states_come_back_on_restore(self):
-        """A ``seed_all`` below the root drops every state, and the restore
+        """A fixpoint without a decision below the root drops every state, and the restore
         brings back the root's, so no propagator has to rescan."""
         m = build_benchmark("knap-csp:1-4")
         store = m.new_store()
         engine = Engine(m.num_vars, m.propagators)
-        assert engine.propagate(store, seed_all=True).ok
+        assert engine.propagate(store).ok
         root = dict(store.states)
         assert len(root) == len(m.propagators) and None not in root.values()
         k = store.push_level()
-        assert engine.propagate(store, seed_all=True).ok
+        assert engine.propagate(store).ok
         store.restore_to(k)
         assert store.states == root
 
@@ -585,7 +556,7 @@ class TestStatefulPath:
         m.post(LinearLeq([1, 1], [b, z], 2))  # z <= 2 - b
         m.post(AllDifferent([a, b, c]))  # a = 1 fixes b = c = 2
         (ours, *_), fixpoint = twins(m)
-        assert not fixpoint(seed_all=True)
+        assert not fixpoint()
         assert ours.states == {}
         assert not fixpoint(decision=("ne", z, 0))  # z = 1 > 2 - b
 
@@ -599,7 +570,7 @@ class TestStatefulPath:
         m.post(LinearLeq([-1, 1], [a, z], 0))  # z <= a
         m.post(AllDifferent([t, a, b, c]))
         (ours, *_), fixpoint = twins(m)
-        assert fixpoint(seed_all=True)
+        assert fixpoint()
         assert not fixpoint(decision=("eq", t, 1))  # a = 0, then b = c = 2 collide
         assert ours.states == {}
         assert not fixpoint(decision=("ne", z, 0))  # z = 1 > a
@@ -693,7 +664,7 @@ class TestUserPropagator:
         calls = []
         store = m.new_store()
         engine = Engine(m.num_vars, spied(m, calls))
-        assert engine.propagate(store, seed_all=True).ok
+        assert engine.propagate(store).ok
         assert calls == [(0, []), (1, []), (2, [])]
         calls.clear()
         assert engine.propagate(store, decision=("eq", x, 2)).ok
@@ -722,7 +693,7 @@ class TestToldBounds:
             calls = []
             store = m.new_store()
             engine = cls(m.num_vars, spied(m, calls))
-            assert engine.propagate(store, seed_all=True).ok
+            assert engine.propagate(store).ok
             calls.clear()
             assert engine.propagate(store, decision=("eq", w, 5)).ok
             assert tuple(store.domains[x].values()) == (1, 2, 3, 4, 6, 7, 8, 9)
@@ -741,7 +712,7 @@ class TestToldBounds:
         calls = []
         store = m.new_store()
         engine = Engine(m.num_vars, spied(m, calls))
-        assert engine.propagate(store, seed_all=True).ok
+        assert engine.propagate(store).ok
         for _ in range(2):
             calls.clear()
             k = store.push_level()
@@ -751,8 +722,8 @@ class TestToldBounds:
             store.restore_to(k)
             assert (store.moved[x], store.domains[y].max) == (0, 9)
 
-    def test_seed_all_takes_the_current_bounds_as_told(self):
-        """A direct store edit leaves x marked; a ``seed_all`` fixpoint
+    def test_root_fixpoint_takes_the_current_bounds_as_told(self):
+        """A direct store edit leaves x marked; a fixpoint without a decision
         clears the mark and rescans with the edited bounds, so a later
         interior removal from x is not advised."""
         m = Model()
@@ -761,10 +732,10 @@ class TestToldBounds:
         calls = []
         store = m.new_store()
         engine = Engine(m.num_vars, spied(m, calls))
-        assert engine.propagate(store, seed_all=True).ok
+        assert engine.propagate(store).ok
         store.tighten_max(x, 5)
         assert store.moved[x] == 1
-        assert engine.propagate(store, seed_all=True).ok
+        assert engine.propagate(store).ok
         assert (store.moved[x], store.domains[y].min) == (0, 4)
         calls.clear()
         assert engine.propagate(store, decision=("ne", x, 3)).ok

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -9,6 +10,7 @@ from fdsearch import (
     AllDifferent,
     BinaryKnapsackAtmost,
     BinaryLess,
+    DomainStore,
     Engine,
     KnapsackInstance,
     LinearEq,
@@ -25,11 +27,12 @@ from fdsearch import (
 )
 
 from oracles import (
-    ReferenceEngine,
+    FirstWrittenEngine,
     generate_and_test,
     holds,
     random_csp,
     random_mixed_model,
+    random_planted_sums,
 )
 
 HEURISTICS = ("abs", "ibs", "wdeg")
@@ -391,16 +394,62 @@ class TestLimits:
             probe_activities(build_magic_square(4), timeout=timeout)
 
 
-def audited_model(rng: random.Random, mixed: bool) -> Model:
-    """The first model drawn from ``rng`` that ``Model.audit`` accepts
-    (a mixed model can put a knapsack over a domain that is not 0/1)."""
+def audited_model(rng: random.Random, kind: str) -> Model:
+    """The first model of ``kind`` drawn from ``rng`` that ``Model.audit``
+    accepts (a mixed model can put a knapsack over a domain that is not
+    0/1)."""
+    draw = {"csp": random_csp, "mixed": random_mixed_model, "sums": random_planted_sums}[kind]
     while True:
-        m = random_mixed_model(rng) if mixed else random_csp(rng)
+        m = draw(rng)
         try:
             m.audit()
         except ModelError:
             continue
         return m
+
+
+def drawn_solve(data) -> tuple[Model, dict]:
+    """A model and the ``solve`` keywords of one whole-solve draw.
+
+    Planted mixed models and wdeg (which does not probe) are drawn more
+    often, and abs mostly gets a planted-sums model, which its probes
+    rarely finish, so that most solves get past the root and probing to a
+    decision.  Hypothesis favours the first of a ``sampled_from``, so the
+    failure caps are listed largest first and ``geo`` before ``nr``: most
+    solves backtrack, and some restart.  Sometimes auxiliaries
+    ``z = sum(c * x)`` are added, the branch variables are the original
+    ones in a drawn order, and the objective may be on an auxiliary, as in
+    the knapsack COP."""
+    heuristic = data.draw(st.sampled_from(("wdeg", "wdeg", "ibs", "abs")), label="heuristic")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="model seed"))
+    kinds = ("sums", "sums", "mixed") if heuristic == "abs" else ("mixed", "mixed", "csp")
+    kind = data.draw(st.sampled_from(kinds), label="model")
+    m = audited_model(rng, kind)
+    originals = list(range(m.num_vars))
+    for _ in range(data.draw(st.integers(0, 2), label="auxiliaries")):
+        scope = rng.sample(originals, rng.randint(1, min(3, len(originals))))
+        coeffs = [rng.choice((-2, -1, 1, 3)) for _ in scope]
+        doms = [m.initial_domain(x) for x in scope]
+        lo = sum(min(c * d.min, c * d.max) for c, d in zip(coeffs, doms))
+        hi = sum(max(c * d.min, c * d.max) for c, d in zip(coeffs, doms))
+        z = m.add_var(lo, hi)
+        m.post(LinearEq(coeffs + [-1], scope + [z], 0))
+    if m.num_vars > len(originals):
+        m.set_branch_vars(data.draw(st.permutations(originals), label="branch vars"))
+    objective = data.draw(st.sampled_from((None, "max", "min")), label="objective")
+    if objective is not None:
+        z = data.draw(st.integers(0, m.num_vars - 1), label="objective var")
+        (m.maximize if objective == "max" else m.minimize)(z)
+    restart = data.draw(st.sampled_from(("geo", "nr")), label="restart")
+    kwargs = dict(
+        heuristic=heuristic,
+        restart=RestartPolicy.geometric(1.5, 2) if restart == "geo" else RestartPolicy.none(),
+        seed=data.draw(st.integers(0, 2**16), label="seed"),
+        max_failures=data.draw(st.sampled_from((100, 30, 10, 3, 1)), label="max_failures"),
+    )
+    if objective is None and restart == "nr" and kind == "csp":  # few leaves
+        kwargs["all_solutions"] = data.draw(st.booleans(), label="all solutions")
+    return m, kwargs
 
 
 def logged(engine_class, log: list) -> type:
@@ -422,41 +471,10 @@ class TestWholeSolveDifferential:
     def test_solve_matches_the_reference_engine(self, data):
         """A whole solve, with its restarts, branch and bound, root
         shaving and heuristic feedback, explores the same tree when every
-        fixpoint runs the first-written engine loop instead of ``Engine``.
-
-        Sometimes auxiliaries ``z = sum(c * x)`` are added, the branch
-        variables are the original ones in a drawn order, and the
-        objective may be on an auxiliary, as in the knapsack COP.  Every
+        fixpoint runs the first-written engine loop over the first-written
+        filters instead of ``Engine`` over the shipped ones.  Every
         fixpoint returns the same ``(failed, affected)`` on both sides."""
-        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="model seed"))
-        # planted mixed models and wdeg (which does not probe) are drawn more
-        # often, so that most solves get past the root and probing to a decision
-        mixed = data.draw(st.sampled_from((True, True, False)), label="mixed")
-        m = audited_model(rng, mixed)
-        originals = list(range(m.num_vars))
-        for _ in range(data.draw(st.integers(0, 2), label="auxiliaries")):
-            scope = rng.sample(originals, rng.randint(1, min(3, len(originals))))
-            coeffs = [rng.choice((-2, -1, 1, 3)) for _ in scope]
-            doms = [m.initial_domain(x) for x in scope]
-            lo = sum(min(c * d.min, c * d.max) for c, d in zip(coeffs, doms))
-            hi = sum(max(c * d.min, c * d.max) for c, d in zip(coeffs, doms))
-            z = m.add_var(lo, hi)
-            m.post(LinearEq(coeffs + [-1], scope + [z], 0))
-        if m.num_vars > len(originals):
-            m.set_branch_vars(data.draw(st.permutations(originals), label="branch vars"))
-        objective = data.draw(st.sampled_from((None, "max", "min")), label="objective")
-        if objective is not None:
-            z = data.draw(st.integers(0, m.num_vars - 1), label="objective var")
-            (m.maximize if objective == "max" else m.minimize)(z)
-        restart = data.draw(st.sampled_from(("nr", "geo")), label="restart")
-        kwargs = dict(
-            heuristic=data.draw(st.sampled_from(("wdeg", "wdeg", "ibs", "abs")), label="heuristic"),
-            restart=RestartPolicy.geometric(1.5, 2) if restart == "geo" else RestartPolicy.none(),
-            seed=data.draw(st.integers(0, 2**16), label="seed"),
-            max_failures=data.draw(st.integers(1, 100), label="max_failures"),
-        )
-        if objective is None and restart == "nr" and not mixed:  # few leaves
-            kwargs["all_solutions"] = data.draw(st.booleans(), label="all solutions")
+        m, kwargs = drawn_solve(data)
 
         def tree(stats):
             return (
@@ -469,7 +487,36 @@ class TestWholeSolveDifferential:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("fdsearch.search.Engine", logged(Engine, shipped_log))
             shipped = tree(solve(m, **kwargs))
-            mp.setattr("fdsearch.search.Engine", logged(ReferenceEngine, reference_log))
+            mp.setattr("fdsearch.search.Engine", logged(FirstWrittenEngine, reference_log))
             reference = tree(solve(m, **kwargs))
         assert shipped == reference
         assert shipped_log == reference_log
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_restore_brings_back_each_pushed_level(self, data):
+        """Over the same draws, every ``restore_to(k)`` leaves the store at
+        level ``k - 1`` with exactly the masks and ``store.states`` (compared
+        by value, so a state mutated in place shows) that were current when
+        ``push_level`` returned ``k``."""
+        m, kwargs = drawn_solve(data)
+        push_level, restore_to = DomainStore.push_level, DomainStore.restore_to
+        pushed = {}  # level -> (masks, states) when push_level returned it
+
+        def snapshot(store):
+            return [d.mask for d in store.domains], copy.deepcopy(store.states)
+
+        def push(store):
+            k = push_level(store)
+            pushed[k] = snapshot(store)
+            return k
+
+        def restore(store, k):
+            restore_to(store, k)
+            assert store.level == k - 1
+            assert snapshot(store) == pushed[k]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(DomainStore, "push_level", push)
+            mp.setattr(DomainStore, "restore_to", restore)
+            solve(m, **kwargs)
