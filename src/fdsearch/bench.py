@@ -33,7 +33,7 @@ from .benchmarks import (
     load_bundled_instance,
     parse_knapsack_file,
 )
-from .heuristics import HeuristicConfig
+from .heuristics import HEURISTICS, HeuristicConfig
 from .model import Model
 from .search import RestartPolicy, Status, probe_activities, solve
 
@@ -173,7 +173,8 @@ def _thread_budget(config: RunConfig) -> int:
 
 
 def aggregate_rows(rows: Sequence[dict], timeout: float) -> dict:
-    """Recompute the aggregate row from per-run rows.  The count means and
+    """Recompute the aggregate row from per-run rows, of which there is at
+    least one (``RunConfig`` rejects ``runs < 1``).  The count means and
     ``med_probes`` are over the runs that did not raise (0.0 if none did)."""
     import statistics
 
@@ -183,8 +184,6 @@ def aggregate_rows(rows: Sequence[dict], timeout: float) -> dict:
     ]
     counted = [row for row in rows if row["status"] != ERROR]
     n = len(rows)
-    if n == 0:
-        return {key: 0.0 for key in AGG_COLUMNS} | {"n_success": 0, "n_error": 0}
     if n >= 2:
         q1, q2, q3 = statistics.quantiles(times, n=4, method="inclusive")
         sigma = statistics.stdev(times)
@@ -261,14 +260,6 @@ def sweep(param: str, values: Sequence[float], config: RunConfig) -> list[RunRec
     return [run_experiment(replace(config, **{param: v})) for v in values]
 
 
-def write_sweep_csv(
-    out: io.TextIOBase, param: str, values: Sequence[float], records: Sequence[RunRecord]
-) -> None:
-    out.write(",".join(("param", "value") + HEADER) + "\n")
-    for value, record in zip(values, records):
-        write_rows(out, record, prefix={"param": param, "value": value})
-
-
 def dump_activities(config: RunConfig) -> list[tuple[int, float]]:
     """Run only the probing phase and return (variable, mean activity) rows,
     excluding variables fixed at the root by singleton consistency.  Raises
@@ -326,7 +317,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for p in (p_run, p_sweep, p_act):
         _add_common(p)
     for p in (p_run, p_sweep):  # activities always probes with ABS, no value heuristic
-        p.add_argument("--heur", dest="heuristic", choices=("abs", "ibs", "wdeg"))
+        p.add_argument("--heur", dest="heuristic", choices=tuple(HEURISTICS))
         p.add_argument("--restart", help="nr or geo:RHO")
         p.add_argument("--alpha", type=float)
         p.add_argument("--gamma", type=float)
@@ -359,12 +350,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if args.command == "run":
                 record = run_experiment(config)
                 write_csv(out, record)
-                _summary(record, config)
+                _summary(record)
             elif args.command == "sweep":
                 records = sweep(args.param, values, config)
-                write_sweep_csv(out, args.param, values, records)
+                out.write(",".join(("param", "value") + HEADER) + "\n")
                 for value, record in zip(values, records):
-                    _summary(record, config, label=f"{args.param}={value}")
+                    write_rows(out, record, prefix={"param": args.param, "value": value})
+                    _summary(record, label=f"{args.param}={value}")
             else:
                 out.write("var,activity\n")
                 for var, act in rows:
@@ -378,14 +370,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 0
 
 
-def _summary(record: RunRecord, config: RunConfig, label: str = "") -> None:
+def _summary(record: RunRecord, label: str = "") -> None:
     for row in record.rows:
         if row["status"] == ERROR:
             print(
                 f"# run {row['run_id']} (seed {row['seed']}): error: {row['error']}",
                 file=sys.stderr,
             )
-    agg = record.aggregate
+    agg, config = record.aggregate, record.config
     tag = f" [{label}]" if label else ""
     print(
         f"# {config.bench} {config.heuristic}|{config.restart}{tag}: "

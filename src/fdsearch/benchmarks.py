@@ -106,9 +106,7 @@ def load_bundled_instance(name: str) -> KnapsackInstance:
         raise ValueError(
             f"unknown bundled instance {name!r}; choose from {BUNDLED_KNAPSACKS}"
         )
-    text = (
-        resources.files("fdsearch").joinpath(f"data/knap{name}.txt").read_text()
-    )
+    text = resources.files(__package__).joinpath(f"data/knap{name}.txt").read_text()
     return parse_knapsack_text(text, name=f"knap{name}")
 
 
@@ -135,7 +133,8 @@ def _post_rows(m: Model, inst: KnapsackInstance, row_class) -> list[int]:
 
 def build_knapsack_csp(inst: KnapsackInstance) -> Model:
     """Satisfaction variant: arithmetic encoding of the weight constraints
-    plus a linear equality pinning the profit to the known optimum."""
+    plus a linear equality pinning the profit to the known optimum.  A
+    profit row with no non-zero profit needs an optimum of 0."""
     inst.validate()
     if inst.optimum is None:
         raise ModelError("the satisfaction variant needs the known optimum")
@@ -145,9 +144,7 @@ def build_knapsack_csp(inst: KnapsackInstance) -> Model:
     if scope:
         m.post(LinearEq(coeffs, scope, inst.optimum))
     elif inst.optimum != 0:
-        if not xs:
-            raise ModelError("empty instance cannot reach a non-zero optimum")
-        m.post(LinearEq([1], [xs[0]], 2))  # zero profits, non-zero target: UNSAT
+        raise ModelError("profit row with no items and a non-zero optimum")
     return m
 
 

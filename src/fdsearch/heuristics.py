@@ -44,11 +44,12 @@ class HeuristicConfig:
     """Knobs shared by the three heuristics; the defaults match the
     benchmark harness defaults.
 
-    ``kind`` is "abs", "ibs" or "wdeg"; ``alpha`` (finite, >= 1) weights the
-    running averages of assignment impact and activity; ``gamma`` (in
-    [0, 1]) is the ABS activity decay; ``delta`` (in (0, 1)) is the relative
-    CI half-width at which ABS probing stops; ``value_heuristic`` enables
-    the ABS least-activity value choice (else ascending values).
+    ``kind`` is a key of ``HEURISTICS`` ("abs", "ibs" or "wdeg");
+    ``alpha`` (finite, >= 1) weights the running averages of assignment
+    impact and activity; ``gamma`` (in [0, 1]) is the ABS activity decay;
+    ``delta`` (in (0, 1)) is the relative CI half-width at which ABS probing
+    stops; ``value_heuristic`` enables the ABS least-activity value choice
+    (else ascending values).
     """
 
     kind: str = "abs"
@@ -58,7 +59,7 @@ class HeuristicConfig:
     value_heuristic: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("abs", "ibs", "wdeg"):
+        if self.kind not in HEURISTICS:
             raise ValueError(f"unknown heuristic {self.kind!r}")
         if not 1 <= self.alpha < math.inf:
             raise ValueError("alpha must be finite and >= 1")
@@ -398,11 +399,6 @@ class WeightedDegreeSearch(SearchHeuristic):
             self.weights[pid] += 1
 
 
-def build_heuristic(model: Model, config: HeuristicConfig, rng) -> SearchHeuristic:
-    cls = {
-        "ibs": ImpactSearch,
-        "abs": ActivitySearch,
-        "wdeg": WeightedDegreeSearch,
-    }[config.kind]
-    return cls(model, config, rng)
+# The heuristic kinds, by the name a config and the bench CLI use.
+HEURISTICS = {"abs": ActivitySearch, "ibs": ImpactSearch, "wdeg": WeightedDegreeSearch}
 

@@ -25,10 +25,8 @@ class Model:
 
     # -- construction --
 
-    def add_var(self, lo: int, hi: Optional[int] = None, name: str = "") -> int:
-        """Declare a variable with domain [lo, hi] (or the singleton {lo})."""
-        if hi is None:
-            hi = lo
+    def add_var(self, lo: int, hi: int, name: str = "") -> int:
+        """Declare a variable with domain [lo, hi]."""
         if hi < lo:
             raise ModelError(f"empty initial domain [{lo}, {hi}]")
         self._specs.append((lo, (1 << (hi - lo + 1)) - 1))
@@ -97,10 +95,9 @@ class Model:
         return DomainStore([FiniteDomain.from_mask(a, mask) for a, mask in self._specs])
 
     def audit(self) -> None:
-        """Validate structural invariants; raises ModelError on violation."""
-        for anchor, mask in self._specs:
-            if mask == 0:
-                raise ModelError("empty initial domain")
+        """Validate structural invariants; raises ModelError on violation.
+        The declared domains need no check: ``add_var`` and
+        ``add_var_values`` reject an empty one."""
         for pid, p in enumerate(self.propagators):
             if p.pid != pid:
                 raise ModelError(f"propagator {pid} has stale id {p.pid}")

@@ -81,10 +81,14 @@ class _Linear(Propagator):
         side of an equality with slack ``hi - b``.  Such a call would return
         UNCHANGED, so skipping it leaves the store, the trail and the
         returned list as they were.  Conversely, a span above the slack of a
-        side makes that side cut the bound or fail, so every term a pass
-        visits moves.  A <= cut leaves term lower bounds, ``lo`` and the
-        slack as they were, so a <= row stops after one pass; an equality
-        recomputes the visited terms and stops at a pass that visits none.
+        side makes that side cut the bound, so every term a pass visits
+        moves.  The <= cut never empties a domain: the slack is >= 0 there,
+        so ``b - lo + term_lo`` is at least the term's low end, and the new
+        bound is on the domain's side of the other bound.  Only the >= side
+        of an equality can fail.  A <= cut leaves term lower bounds, ``lo``
+        and the slack as they were, so a <= row stops after one pass; an
+        equality recomputes the visited terms and stops at a pass that
+        visits none.
 
         A <= row prunes by ``lo`` alone, as no span exceeds ``hi - lo``, so
         its state is ``(lo, term_lo, heavy)``; an equality's is ``(lo, hi,
@@ -179,14 +183,12 @@ class _Linear(Propagator):
                 x = xs[i]
                 d = domains[x]
                 span = c * (d.max - d.min) if c > 0 else c * (d.min - d.max)
-                if span > slack:
+                if span > slack:  # slack >= 0: the cut keeps the other bound
                     ub_num = slack + term_lo[i]  # c*x <= ub_num
                     if c > 0:
-                        out = store.tighten_max(x, ub_num // c)
+                        store.tighten_max(x, ub_num // c)
                     else:
-                        out = store.tighten_min(x, -(-ub_num // c))
-                    if out is WOULD_EMPTY:
-                        return None
+                        store.tighten_min(x, -(-ub_num // c))
                 if is_eq and span > surplus:
                     lb_num = term_lo[i] + span - surplus  # c*x >= lb_num
                     if c > 0:

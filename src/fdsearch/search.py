@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
 from .engine import Engine, PropagationResult
-from .heuristics import ActivitySearch, HeuristicConfig, build_heuristic
+from .heuristics import HEURISTICS, ActivitySearch, HeuristicConfig
 from .model import Model
 from .propagators import ObjectiveBound
 
@@ -136,7 +136,7 @@ class _Solver:
             props.append(self.bound)
             self._extra = (self.bound.pid,)
         self.engine = Engine(model.num_vars, props)
-        self.heuristic = build_heuristic(model, config, self.rng)
+        self.heuristic = HEURISTICS[config.kind](model, config, self.rng)
 
         self._t0 = 0.0
         self._deadline: Optional[float] = None

@@ -238,6 +238,11 @@ class TestActivitiesDump:
         b = dump_activities(small_config(bench="msq:5", seed=3))
         assert a == b
 
+    def test_root_failure_gives_no_rows(self, tmp_path):
+        path = tmp_path / "overfull.txt"
+        path.write_text("1 1\n5\n3\n-1\n0\n")  # weight 3 within capacity -1
+        assert dump_activities(small_config(bench=f"knap-csp:{path}")) == []
+
     def test_empty_model(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("0 0\n0\n")  # no items, optimum 0
@@ -257,6 +262,18 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(HEADER)
         assert len(lines) == 4  # header + 2 runs + aggregate
+
+    def test_run_without_out_writes_csv_to_stdout(self, capsys):
+        code = main([
+            "run", "--bench", "msq:4", "--heur", "ibs", "--runs", "2",
+            "--timeout", "15", "--seed", "3", "--threads", "1",
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == ",".join(HEADER)
+        assert len(lines) == 4  # header + 2 runs + aggregate
+        assert captured.err.startswith("# msq:4 ibs|nr: ")
 
     def test_exit_zero_even_when_all_runs_time_out(self, tmp_path):
         out = tmp_path / "t.csv"

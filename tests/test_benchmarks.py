@@ -1,5 +1,12 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import fdsearch
 from fdsearch import (
     AllDifferent,
     KnapsackInstance,
@@ -66,9 +73,38 @@ class TestParser:
             sizes[name] = inst.n_items
         assert sizes == {"1-2": 10, "1-3": 15, "1-4": 20, "1-5": 28, "1-6": 39}
 
+    def test_a_renamed_copy_reads_its_own_data(self, tmp_path):
+        """``-S`` keeps an installed ``fdsearch`` out of reach, so the copy
+        can only find the data under its own name."""
+        shutil.copytree(
+            Path(fdsearch.__file__).parent, tmp_path / "fdcopy",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        code = "import fdcopy; print(fdcopy.load_bundled_instance('1-4').optimum)"
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", code], cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(tmp_path)},
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) == load_bundled_instance("1-4").optimum
+
     def test_unknown_bundled_name(self):
         with pytest.raises(ValueError, match="unknown bundled instance"):
             load_bundled_instance("9-9")
+
+
+@pytest.mark.parametrize("inst, message", [
+    (KnapsackInstance(-1, 0, [], [], []), "non-negative"),
+    (KnapsackInstance(2, 0, [1], [], []), "expected 2 profits"),
+    (KnapsackInstance(1, 1, [1], [], [3]), "expected 1 weight rows"),
+    (KnapsackInstance(1, 1, [1], [[1, 2]], [3]), "weight row 0 has 2 entries"),
+    (KnapsackInstance(1, 1, [1], [[-1]], [3]), "negative weight"),
+    (KnapsackInstance(1, 1, [1], [[1]], []), "expected 1 capacities"),
+])
+def test_validate_rejects_inconsistent_instances(inst, message):
+    with pytest.raises(ValueError, match=message):
+        inst.validate()
 
 
 @pytest.mark.parametrize("build", (build_knapsack_csp, build_knapsack_cop))
@@ -107,6 +143,18 @@ class TestKnapsackCsp:
     def test_model_audit_passes(self):
         build_knapsack_csp(TOY).audit()
 
+    @pytest.mark.parametrize("n_items", (0, 2))
+    def test_no_profit_and_a_non_zero_optimum_rejected(self, n_items):
+        """A profit row with no non-zero profit sums to 0, so it can reach
+        no other optimum, with items or without."""
+        inst = KnapsackInstance(n_items, 0, [0] * n_items, [], [], 5, "no-profit")
+        with pytest.raises(ModelError, match="no items and a non-zero optimum"):
+            build_knapsack_csp(inst)
+
+    def test_no_profit_and_optimum_zero_is_satisfiable(self):
+        inst = KnapsackInstance(2, 0, [0, 0], [], [], 0, "no-profit")
+        assert solve(build_knapsack_csp(inst), "abs", seed=0).status is Status.SOLUTION_FOUND
+
 
 class TestKnapsackCop:
     def test_toy_optimum(self):
@@ -126,6 +174,12 @@ class TestKnapsackCop:
         stats = solve(build_knapsack_cop(inst), "wdeg", seed=0)
         assert stats.status is Status.PROVED_OPTIMAL
         assert stats.best_objective == 0
+
+    def test_checker_rejects_a_value_other_than_0_or_1(self):
+        """[0, 2, 0] weighs 8 <= 9 and earns 12, so only the 0/1 test
+        rejects it."""
+        assert check_knapsack_cop(TOY, [0, 1, 0], 6)
+        assert not check_knapsack_cop(TOY, [0, 2, 0], 12)
 
     def test_branching_is_restricted_to_items(self):
         model = build_knapsack_cop(TOY)
@@ -159,6 +213,27 @@ class TestMagicSquare:
         stats = solve(build_magic_square(n), "abs", seed=2)
         assert stats.status is Status.SOLUTION_FOUND
         assert check_magic_square(n, stats.best_assignment)
+
+    # Each square below passes every check before the one it names.  VALID
+    # meets the ordering; LO_SHU, VALID transposed, is still magic but its
+    # anti-diagonal falls; CORNER has both diagonals rising but its
+    # top-right corner below its top-left one.
+    VALID = [2, 9, 4, 7, 5, 3, 6, 1, 8]
+    LO_SHU = [2, 7, 6, 9, 5, 1, 4, 3, 8]
+    CORNER = [4, 9, 2, 3, 5, 7, 8, 1, 6]
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(VALID[:8], id="too-few-values"),
+        pytest.param([2, 9, 4, 7, 5, 3, 6, 1, 2], id="repeated-value"),
+        pytest.param([7, 9, 4, 2, 5, 3, 6, 1, 8], id="row-sum"),  # (0,0) <-> (1,0)
+        pytest.param([9, 2, 4, 7, 5, 3, 6, 1, 8], id="column-sum"),  # (0,0) <-> (0,1)
+        pytest.param([7, 5, 3, 2, 9, 4, 6, 1, 8], id="diagonal-sum"),  # rows 0 <-> 1
+        pytest.param(LO_SHU, id="diagonal-order"),
+        pytest.param(CORNER, id="corner-order"),
+    ])
+    def test_checker_rejects_each_broken_square(self, values):
+        assert check_magic_square(3, self.VALID)
+        assert not check_magic_square(3, values)
 
     def test_checker_rejects_broken_squares(self):
         stats = solve(build_magic_square(3), "wdeg", seed=0)

@@ -67,6 +67,14 @@ class TestAssign:
         assert tuple(s.domains[0].values()) == (1, 3)
 
 
+def test_assignment_needs_every_variable_bound():
+    s = store_of([4], [1, 2], [7])
+    with pytest.raises(ValueError, match="variable 1 is not bound"):
+        s.assignment()
+    s.assign(1, 2)
+    assert s.assignment() == [4, 2, 7]
+
+
 class TestTighten:
     def test_tighten_min(self):
         s = store_of([1, 2, 5])

@@ -172,6 +172,25 @@ class TestImpactInitialization:
         assert solver.heuristic.impact[(x, 1)] == 1.0
         assert solver.heuristic.impact[(x, 2)] == 1.0
 
+    def test_a_value_shaved_with_an_earlier_one_is_not_probed(self):
+        """x = 1 fails (y and z would both be 2), and shaving it moves x's
+        minimum to 2, so x + v = 5 bounds v by 3; v lost 3 at the root to
+        alldifferent with w = 3, so v <= 2 and x >= 3.  Value 2 leaves x
+        while x still has two values, and its probe is skipped."""
+        m = Model()
+        x, y, z = m.add_var(1, 4), m.add_var(1, 2), m.add_var(1, 2)
+        v, w = m.add_var(1, 4), m.add_var(3, 3)
+        m.post(AllDifferent([x, y, z]))
+        m.post(AllDifferent([v, w]))
+        m.post(LinearEq([1, 1], [x, v], 5))
+        solver = make_solver(m, "ibs")
+        assert tuple(solver.store.domains[x].values()) == (1, 2, 3, 4)
+        assert solver.heuristic.initialize(solver)
+        assert tuple(solver.store.domains[x].values()) == (3, 4)
+        impact = solver.heuristic.impact
+        assert impact[(x, 1)] == 1.0
+        assert {a for (var, a) in impact if var == x} == {1, 3, 4}
+
     def test_shaving_can_prove_infeasibility(self):
         m = Model()
         for _ in range(3):
@@ -394,6 +413,14 @@ class TestProbeAccumulator:
                 vector[x] += 1
         acc.fold(vector)
         assert acc.mean == [1.0, 2.0, 1.0]
+
+    def test_stddev_is_zero_before_two_folds(self):
+        acc = ProbeAccumulator(1)
+        assert acc.stddev(0) == 0.0
+        acc.fold([3.0])
+        assert acc.stddev(0) == 0.0
+        acc.fold([5.0])
+        assert acc.stddev(0) == pytest.approx(math.sqrt(2.0))
 
     def test_untouched_variables_average_zero(self):
         acc = ProbeAccumulator(2)

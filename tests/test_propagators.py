@@ -18,6 +18,7 @@ from fdsearch import (
 )
 from fdsearch.bench import build_benchmark
 from fdsearch.domain import SHRUNK, WOULD_EMPTY
+from fdsearch.engine import DECISION, PropagationResult
 
 from oracles import (
     REFERENCES,
@@ -202,6 +203,32 @@ class TestBinaryLess:
 
 
 class TestEngine:
+    @pytest.mark.parametrize("decision", (("eq", 0, 2), ("ne", 1, 3)))
+    def test_a_decision_that_would_empty_its_domain_fails_untouched(self, decision):
+        """x = 2 with 2 not in D(x), or y != 3 with D(y) = {3}: the engine
+        reports the decision as the failure and leaves the store as it was."""
+        m = Model()
+        m.add_var_values([1, 3])
+        m.add_var(3, 3)
+        m.post(LinearLeq([1, 1], [0, 1], 6))
+        store, engine, root = run_fixpoint(m)
+        assert root.ok
+        masks = [d.mask for d in store.domains]
+        entries = list(store.trail.entries)
+        res = engine.propagate(store, decision)
+        assert res.failed == DECISION and res.affected == []
+        assert not res.ok
+        assert [d.mask for d in store.domains] == masks
+        assert store.trail.entries == entries
+
+    def test_result_repr(self):
+        assert repr(PropagationResult(None, [2, 0])) == (
+            "PropagationResult(Consistent, affected=[2, 0])"
+        )
+        assert repr(PropagationResult(DECISION, [])) == (
+            "PropagationResult(Failed(-1), affected=[])"
+        )
+
     def test_consistent_with_no_tightening(self):
         m = Model()
         x = m.add_var(1, 4)

@@ -12,6 +12,7 @@ from fdsearch import (
     BinaryLess,
     DomainStore,
     Engine,
+    HeuristicConfig,
     KnapsackInstance,
     LinearEq,
     LinearLeq,
@@ -130,6 +131,10 @@ class TestSolveBasics:
         with pytest.raises(ModelError, match=match):
             probe_activities(m)
 
+    def test_probing_needs_the_activity_heuristic(self):
+        with pytest.raises(ValueError, match="activity heuristic"):
+            probe_activities(build_magic_square(3), HeuristicConfig(kind="ibs"))
+
     def test_empty_initial_domain_is_a_model_error(self):
         m = Model()
         with pytest.raises(ModelError, match="empty initial domain"):
@@ -176,6 +181,19 @@ class TestBranchAndBound:
         stats = solve(build_knapsack_cop(inst), "abs", seed=0)
         assert stats.status is Status.PROVED_INFEASIBLE
         assert stats.solutions == []
+
+    def test_cop_proved_infeasible_by_search(self):
+        """Four pigeons in three holes: root propagation leaves every
+        domain whole, and wdeg does not probe, so only the DFS can show
+        that there is no solution to improve on."""
+        m = Model()
+        xs = m.add_vars(4, 0, 2)
+        m.post(AllDifferent(xs))
+        m.maximize(xs[0])
+        stats = solve(m, "wdeg", seed=0)
+        assert stats.status is Status.PROVED_INFEASIBLE
+        assert stats.choice_points > 0 and stats.failures > 0
+        assert stats.best_objective is None and stats.solutions == []
 
     def test_minimize(self):
         m = Model()

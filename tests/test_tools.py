@@ -1,9 +1,10 @@
 """``tools/trace_diff.py``'s exit codes on small hand-written result lines,
-``tools/surface.py``'s counts on a tiny package, and a check for unused
-imports."""
+``tools/surface.py``'s counts on a tiny package, ``tools/linehits.py``'s
+collection and report on a tiny module, and a check for unused imports."""
 
 import ast
 import importlib.util
+import io
 import json
 import subprocess
 import sys
@@ -12,9 +13,17 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-_spec = importlib.util.spec_from_file_location("trace_diff", ROOT / "tools" / "trace_diff.py")
-trace_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(trace_diff)
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+trace_diff = load_tool("trace_diff")
+linehits = load_tool("linehits")
 
 
 def result(metrics):
@@ -111,6 +120,53 @@ def test_surface_counts_lines_code_lines_and_exports(tmp_path):
         capture_output=True, text=True, check=True,
     )
     assert done.stdout.splitlines() == ["lines 14", "code 7", "exports pkg 1"]
+
+
+TWO_FUNCTIONS = (
+    '"""A module of two functions."""\n'
+    "\n"
+    "\n"
+    "def used(x):\n"
+    "    if x < 0:\n"
+    "        return -x\n"
+    "    return x\n"
+    "\n"
+    "\n"
+    "def unused():\n"
+    '    """Never called."""\n'
+    "    raise NotImplementedError\n"
+)
+
+
+def test_linehits_lists_the_lines_no_call_ran(tmp_path):
+    """``used(3)`` runs every line but the negative branch; ``unused`` is
+    defined but never called.  The tracer is on only while the module is
+    imported and ``used`` runs."""
+    path = tmp_path / "two.py"
+    path.write_text(TWO_FUNCTIONS)
+    assert linehits.executable_lines(path) == {1, 4, 5, 6, 7, 10, 12}
+    spec = importlib.util.spec_from_file_location("two", path)
+    module = importlib.util.module_from_spec(spec)
+    with linehits.LineTracer([path]) as tracer:
+        spec.loader.exec_module(module)
+        module.used(3)
+    module.used(-3)  # after the tracer: not counted
+    assert tracer.hits == {path.resolve(): {1, 4, 5, 7, 10}}
+    missed = linehits.never_run(tracer.hits)
+    assert missed == [
+        (path.resolve(), 6, "return -x"),
+        (path.resolve(), 12, "raise NotImplementedError"),
+    ]
+    out = io.StringIO()
+    assert linehits.report(missed, out) is False  # "return -x" is not allowed
+    assert out.getvalue().splitlines() == [
+        f"{path.resolve()}:6: return -x",
+        f"{path.resolve()}:12: raise NotImplementedError",
+        "never-run 2",
+    ]
+    out = io.StringIO()
+    assert linehits.report(missed[1:], out) is True
+    assert out.getvalue().splitlines()[-1] == "never-run 1"
 
 
 def unused_imports(source):
