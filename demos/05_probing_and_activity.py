@@ -14,7 +14,7 @@ MODEL = "magic square 5x5"
 print(f"probing {MODEL} at different confidence widths\n")
 print(f"{'delta':>6} {'probes':>7} {'most active variables (top 5)':<40}")
 for delta in (0.8, 0.4, 0.2, 0.1, 0.05):
-    config = HeuristicConfig(kind="abs", delta=delta, value_heuristic=False)
+    config = HeuristicConfig(kind="abs", delta=delta)
     activities, fixed, stats = probe_activities(
         build_magic_square(5), config, seed=1
     )
@@ -23,7 +23,7 @@ for delta in (0.8, 0.4, 0.2, 0.1, 0.05):
     print(f"{delta:>6} {stats.probes:>7} {summary:<40}")
 
 print("\nactivity histogram at delta=0.2 (root-fixed variables excluded):")
-config = HeuristicConfig(kind="abs", delta=0.2, value_heuristic=False)
+config = HeuristicConfig(kind="abs", delta=0.2)
 activities, fixed, stats = probe_activities(build_magic_square(5), config, seed=1)
 buckets = Counter(round(a) for a, fx in zip(activities, fixed) if not fx)
 for level in sorted(buckets):

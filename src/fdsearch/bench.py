@@ -54,21 +54,17 @@ HEADER = RUN_COLUMNS + AGG_COLUMNS
 
 
 @dataclass
-class RunConfig:
-    """One experiment: a benchmark, a heuristic, a restart strategy and the
-    engine parameters (defaults: those of HeuristicConfig, 50 runs, 300 s
-    timeout).  The constructor rejects runs or threads below 1, a timeout
-    that is not positive, and a restart or heuristic setting that
-    ``parse_restart`` or ``HeuristicConfig`` rejects; the benchmark is
-    checked when it is built."""
+class RunConfig(HeuristicConfig):
+    """One experiment: the heuristic settings of ``HeuristicConfig`` plus a
+    benchmark, a restart strategy, the number of runs (default 50), the
+    timeout (default 300 s), the first seed and the worker cap.  The
+    constructor rejects runs or threads below 1, a timeout that is not
+    positive, and a restart or heuristic setting that ``parse_restart`` or
+    ``HeuristicConfig`` rejects; the benchmark is checked when it is
+    built."""
 
     bench: str = "msq:7"
-    heuristic: str = "abs"
     restart: str = "nr"  # "nr" or "geo:RHO"
-    alpha: float = HeuristicConfig.alpha
-    gamma: float = HeuristicConfig.gamma
-    delta: float = HeuristicConfig.delta
-    value_heuristic: bool = HeuristicConfig.value_heuristic
     runs: int = 50
     timeout: float = 300.0
     seed: int = 0
@@ -82,7 +78,7 @@ class RunConfig:
         if not self.timeout > 0:
             raise ValueError("--timeout must be positive")
         parse_restart(self.restart)
-        heuristic_config(self)
+        super().__post_init__()
 
 
 @dataclass
@@ -117,16 +113,6 @@ def parse_restart(text: str) -> RestartPolicy:
     raise ValueError(f"restart must be 'nr' or 'geo:RHO', got {text!r}")
 
 
-def heuristic_config(config: RunConfig) -> HeuristicConfig:
-    return HeuristicConfig(
-        kind=config.heuristic,
-        alpha=config.alpha,
-        gamma=config.gamma,
-        delta=config.delta,
-        value_heuristic=config.value_heuristic,
-    )
-
-
 def run_single(config: RunConfig, run_id: int, seed: int) -> dict:
     """One independent solve; safe to call in a worker process.  A build or
     solve that raises gives a ``status=error`` row with the seconds until
@@ -137,7 +123,7 @@ def run_single(config: RunConfig, run_id: int, seed: int) -> dict:
         model = build_benchmark(config.bench)
         stats = solve(
             model,
-            heuristic_config(config),
+            config,
             restart=parse_restart(config.restart),
             seed=seed,
             timeout=config.timeout,
@@ -265,9 +251,8 @@ def dump_activities(config: RunConfig) -> list[tuple[int, float]]:
     excluding variables fixed at the root by singleton consistency.  Raises
     TimeoutError when probing does not finish within ``config.timeout``."""
     model = build_benchmark(config.bench)
-    hcfg = heuristic_config(replace(config, heuristic="abs", value_heuristic=False))
     activities, fixed, stats = probe_activities(
-        model, hcfg, seed=config.seed, timeout=config.timeout
+        model, replace(config, kind="abs"), seed=config.seed, timeout=config.timeout
     )
     if stats.status is Status.TIMED_OUT:
         raise TimeoutError("probing timed out")
@@ -316,8 +301,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     for p in (p_run, p_sweep, p_act):
         _add_common(p)
-    for p in (p_run, p_sweep):  # activities always probes with ABS, no value heuristic
-        p.add_argument("--heur", dest="heuristic", choices=tuple(HEURISTICS))
+    for p in (p_run, p_sweep):  # activities always probes with ABS
+        p.add_argument("--heur", dest="kind", choices=tuple(HEURISTICS))
         p.add_argument("--restart", help="nr or geo:RHO")
         p.add_argument("--alpha", type=float)
         p.add_argument("--gamma", type=float)
@@ -380,7 +365,7 @@ def _summary(record: RunRecord, label: str = "") -> None:
     agg, config = record.aggregate, record.config
     tag = f" [{label}]" if label else ""
     print(
-        f"# {config.bench} {config.heuristic}|{config.restart}{tag}: "
+        f"# {config.bench} {config.kind}|{config.restart}{tag}: "
         f"mu_T={agg['mu_time_s']:.3f}s sigma_T={agg['sigma_time_s']:.3f} "
         f"mu_C={agg['mu_choice_points']:.1f} F={agg['n_success']}/{len(record.rows)}",
         file=sys.stderr,

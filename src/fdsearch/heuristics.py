@@ -41,15 +41,15 @@ _MEAN_EPSILON = 1e-6
 
 @dataclass
 class HeuristicConfig:
-    """Knobs shared by the three heuristics; the defaults match the
-    benchmark harness defaults.
+    """Knobs shared by the three heuristics.  ``bench.RunConfig`` is this
+    class plus the run settings, so the bench harness has these defaults.
 
     ``kind`` is a key of ``HEURISTICS`` ("abs", "ibs" or "wdeg");
     ``alpha`` (finite, >= 1) weights the running averages of assignment
     impact and activity; ``gamma`` (in [0, 1]) is the ABS activity decay;
     ``delta`` (in (0, 1)) is the relative CI half-width at which ABS probing
     stops; ``value_heuristic`` enables the ABS least-activity value choice
-    (else ascending values).
+    (else the least value, as wdeg chooses).
     """
 
     kind: str = "abs"
@@ -152,6 +152,19 @@ def _argbest(candidates: Sequence[int], scores: Sequence[float], rng, largest: b
     return ties[rng.randrange(len(ties))]
 
 
+def _least_scored(x: int, store: DomainStore, table: dict, rng) -> int:
+    """A value of x of least ``table[(x, value)]`` (0 when absent), ties
+    broken at random."""
+    values = list(store.domains[x].values())
+    return _argbest(values, [table.get((x, a), 0.0) for a in values], rng, largest=False)
+
+
+def _impact(result, store: DomainStore, log_before: float) -> float:
+    """The impact 1 - S_after/S_before of a fixpoint that began at log
+    search-space size ``log_before``; 1 when it failed."""
+    return 1.0 - math.exp(store.search_space_log_size() - log_before) if result.ok else 1.0
+
+
 class SearchHeuristic:
     """Interface the search loop drives; one instance per solve.
 
@@ -172,7 +185,8 @@ class SearchHeuristic:
         raise NotImplementedError
 
     def select_value(self, x: int, store: DomainStore) -> int:
-        raise NotImplementedError
+        """The least value of x: ascending domain order."""
+        return store.domains[x].min
 
     def on_search_fixpoint(self, kind, x, v, result, store) -> None:
         """Called after every search-phase fixpoint (decisions and
@@ -214,13 +228,9 @@ class ImpactSearch(SearchHeuristic):
                 level = store.push_level()
                 res = solver.propagate(("eq", x, a))
                 solver.stats.probes += 1
-                if res.ok:
-                    impact = 1.0 - math.exp(store.search_space_log_size() - log_root)
-                    store.restore_to(level)
-                    self.impact[(x, a)] = impact
-                else:
-                    store.restore_to(level)
-                    self.impact[(x, a)] = 1.0
+                self.impact[(x, a)] = _impact(res, store, log_root)
+                store.restore_to(level)
+                if not res.ok:
                     if not solver.propagate(("ne", x, a)).ok:
                         return False  # shaving emptied a root domain
                     log_root = store.search_space_log_size()
@@ -241,19 +251,12 @@ class ImpactSearch(SearchHeuristic):
 
     def select_value(self, x, store):
         self.log_before = store.search_space_log_size()
-        impact = self.impact
-        values = list(store.domains[x].values())
-        scores = [impact.get((x, a), 0.0) for a in values]
-        return _argbest(values, scores, self.rng, largest=False)
+        return _least_scored(x, store, self.impact, self.rng)
 
     def on_search_fixpoint(self, kind, x, v, result, store):
-        if kind != "eq":
-            return  # refutations carry no assignment to score
-        if result.ok:
-            impact = 1.0 - math.exp(store.search_space_log_size() - self.log_before)
-        else:
-            impact = 1.0
-        _running_average(self.impact, (x, v), impact, self.config.alpha)
+        if kind == "eq":  # refutations carry no assignment to score
+            impact = _impact(result, store, self.log_before)
+            _running_average(self.impact, (x, v), impact, self.config.alpha)
 
 
 class ActivitySearch(SearchHeuristic):
@@ -325,12 +328,10 @@ class ActivitySearch(SearchHeuristic):
         return _argbest(free, scores, self.rng, largest=True)
 
     def select_value(self, x, store):
-        values = list(store.domains[x].values())
         table = self.assignment_activity
         if table is None:
-            return values[0]  # ascending domain order
-        scores = [table.get((x, a), 0.0) for a in values]
-        return _argbest(values, scores, self.rng, largest=False)
+            return super().select_value(x, store)
+        return _least_scored(x, store, table, self.rng)
 
     def on_search_fixpoint(self, kind, x, v, result, store):
         gamma = self.config.gamma
@@ -389,9 +390,6 @@ class WeightedDegreeSearch(SearchHeuristic):
 
     def select_variable(self, free, store):
         return _argbest(free, self._ratios(free, store), self.rng, largest=False)
-
-    def select_value(self, x, store):
-        return store.domains[x].min
 
     def on_search_fixpoint(self, kind, x, v, result, store):
         pid = result.failed

@@ -31,8 +31,10 @@ class Status(enum.Enum):
 
 @dataclass
 class RestartPolicy:
-    """No restarts, or geometric rounds: l0 failures in round 0 and
-    l_{i+1} = ceil(rho * l_i) after; l0 defaults to 3 * |branch vars|.
+    """No restarts, or geometric rounds: l0 failures in round 0, then
+    l_{i+1} = max(l_i + 1, ceil(rho * l_i)), so each round is longer than
+    the last, and every round is endless once rho * l_i overflows a float;
+    l0 defaults to 3 * |branch vars|.
     The constructor rejects a rho that is not a finite number > 1 and an
     initial limit below 1."""
 
@@ -66,8 +68,9 @@ class RestartPolicy:
         limit = self.initial_limit or 3 * num_branch_vars
         while True:
             yield limit
+            grown = limit * self.rho
             # the 1e-9 slack keeps exact products exact (30 * 1.1 must give 33)
-            limit = math.ceil(limit * self.rho - 1e-9)
+            limit = grown if grown == math.inf else max(limit + 1, math.ceil(grown - 1e-9))
 
 
 @dataclass
@@ -260,14 +263,15 @@ class _Solver:
                     store.restore_to(1)
 
     def _exhausted_status(self) -> Status:
+        """The status of a search space that holds nothing (better): the
+        incumbent is optimal under an objective and a solution without one;
+        with no incumbent the model is infeasible."""
         stats = self.stats
-        if self.model.objective is not None:
-            if stats.best_objective is not None:
-                return Status.PROVED_OPTIMAL
+        if stats.best_assignment is None:
             return Status.PROVED_INFEASIBLE
-        if stats.best_assignment is not None:
-            return Status.SOLUTION_FOUND
-        return Status.PROVED_INFEASIBLE
+        if stats.best_objective is not None:
+            return Status.PROVED_OPTIMAL
+        return Status.SOLUTION_FOUND
 
     def _backtrack(self, pending) -> bool:
         """Post pending refutations, each at its choice point's level; True
@@ -318,7 +322,7 @@ def probe_activities(
     Returns (activities, fixed_at_root flags, stats); activities is None when
     the root is infeasible.  Used by the activity-distribution analysis.
     """
-    config = config or HeuristicConfig(kind="abs", value_heuristic=False)
+    config = config or HeuristicConfig(kind="abs")
     if config.kind != "abs":
         raise ValueError("probing is defined by the activity heuristic")
     solver = _Solver(

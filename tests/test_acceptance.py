@@ -230,7 +230,7 @@ def test_criterion_5_benchmark_reproduction():
     for name in ("1-2", "1-3", "1-4"):
         for heuristic in HEURISTICS:
             record = run_experiment(RunConfig(
-                bench=f"knap-csp:{name}", heuristic=heuristic, restart="nr",
+                bench=f"knap-csp:{name}", kind=heuristic, restart="nr",
                 runs=10, timeout=60.0, seed=100,
             ))
             assert record.aggregate["n_success"] == 10, (
@@ -239,7 +239,7 @@ def test_criterion_5_benchmark_reproduction():
             )
     # (b) knapsack COP 1-4: activity-based search proves all 10 runs
     cop = run_experiment(RunConfig(
-        bench="knap-cop:1-4", heuristic="abs", restart="nr",
+        bench="knap-cop:1-4", kind="abs", restart="nr",
         runs=10, timeout=60.0, seed=200,
     ))
     assert cop.aggregate["n_success"] == 10
@@ -251,7 +251,7 @@ def test_criterion_5_benchmark_reproduction():
     results = {}
     for heuristic in HEURISTICS:
         results[heuristic] = run_experiment(RunConfig(
-            bench="msq:7", heuristic=heuristic, restart="geo:1.1",
+            bench="msq:7", kind=heuristic, restart="geo:1.1",
             runs=10, timeout=60.0, seed=300,
         )).aggregate
     assert results["abs"]["n_success"] == 10
@@ -311,7 +311,7 @@ def test_criterion_8_csv_determinism():
     import io
 
     config = RunConfig(
-        bench="knap-csp:1-2", heuristic="abs", restart="geo:2.0",
+        bench="knap-csp:1-2", kind="abs", restart="geo:2.0",
         runs=4, timeout=30.0, seed=42,
     )
     texts = []
@@ -340,7 +340,7 @@ def test_criterion_8_csv_determinism():
 def test_criterion_9_delta_sweep():
     deltas = [0.8, 0.2, 0.05]
     records = sweep("delta", deltas, RunConfig(
-        bench="msq:6", heuristic="abs", restart="nr",
+        bench="msq:6", kind="abs", restart="nr",
         runs=5, timeout=60.0, seed=500,
     ))
     medians = [rec.aggregate["med_probes"] for rec in records]

@@ -26,7 +26,7 @@ from fdsearch.bench import (
 
 def small_config(**kw):
     base = dict(
-        bench="msq:4", heuristic="abs", restart="geo:2.0",
+        bench="msq:4", kind="abs", restart="geo:2.0",
         runs=3, timeout=20.0, seed=11, threads=1,
     )
     base.update(kw)
@@ -201,7 +201,7 @@ class TestRunExperiment:
     def test_config_rejects_what_the_cli_rejects(self):
         for bad in (
             dict(timeout=-1), dict(runs=0), dict(threads=0),
-            dict(restart="geo:0.5"), dict(heuristic="xyz"),
+            dict(restart="geo:0.5"), dict(kind="xyz"),
         ):
             with pytest.raises(ValueError):
                 RunConfig(bench="msq:4", **bad)

@@ -259,6 +259,33 @@ class TestRestarts:
     def test_default_initial_limit_is_three_per_variable(self):
         assert next(RestartPolicy.geometric(1.5).round_limits(7)) == 21
 
+    @staticmethod
+    def five_pigeons_in_four_holes():
+        m = Model("pigeons")
+        m.post(AllDifferent(m.add_vars(5, 1, 4)))
+        return m
+
+    def test_limit_grows_when_rho_is_within_the_slack_of_one(self):
+        # ceil(l * rho - 1e-9) alone stays at 1 when l * (rho - 1) <= 1e-9,
+        # and the rounds never grow long enough to prove infeasibility
+        rho = 1 + 1e-10
+        assert list(itertools.islice(RestartPolicy.geometric(rho, 1).round_limits(5), 4)) == [
+            1, 2, 3, 4
+        ]
+        stats = solve(
+            self.five_pigeons_in_four_holes(), "wdeg",
+            restart=RestartPolicy.geometric(rho, 1), seed=0, max_failures=10_000,
+        )
+        assert stats.status is Status.PROVED_INFEASIBLE
+
+    def test_limit_past_the_float_range_is_endless(self):
+        # 2 * 1e308 is infinite; ceil of it raised OverflowError at the
+        # first restart
+        policy = RestartPolicy.geometric(1e308, 2)
+        assert list(itertools.islice(policy.round_limits(5), 3)) == [2, math.inf, math.inf]
+        stats = solve(self.five_pigeons_in_four_holes(), "wdeg", restart=policy, seed=0)
+        assert (stats.status, stats.restarts) == (Status.PROVED_INFEASIBLE, 1)
+
     def test_search_remains_complete_with_restarts(self):
         rng = random.Random(5)
         for _ in range(30):

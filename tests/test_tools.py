@@ -1,11 +1,14 @@
 """``tools/trace_diff.py``'s exit codes on small hand-written result lines,
 ``tools/surface.py``'s counts on a tiny package, ``tools/linehits.py``'s
-collection and report on a tiny module, and a check for unused imports."""
+collection and report on a tiny module, ``tools/tree_digest.py`` on the
+package and on a copy that branches differently, and a check for unused
+imports."""
 
 import ast
 import importlib.util
 import io
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +187,33 @@ def unused_imports(source):
             exported |= set(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(imported - used - exported)
+
+
+def run_tree_digest(*args):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "tree_digest.py"), *args],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_tree_digest_matches_the_committed_digests():
+    done = run_tree_digest("--check")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "differs" not in done.stdout
+
+
+def test_tree_digest_tells_a_changed_tree(tmp_path):
+    """A copy whose default value choice is the largest value, not the
+    least, explores other trees: every digest differs."""
+    shutil.copytree(ROOT / "src" / "fdsearch", tmp_path / "fdsearch",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "fdsearch" / "heuristics.py"
+    source = path.read_text()
+    assert source.count("return store.domains[x].min") == 1
+    path.write_text(source.replace("return store.domains[x].min", "return store.domains[x].max"))
+    done = run_tree_digest(str(tmp_path), "--check")
+    assert done.returncode == 1
+    assert done.stdout.count("differs: ") == 3
 
 
 def test_unused_imports_finds_what_nothing_reads():
