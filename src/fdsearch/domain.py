@@ -1,12 +1,14 @@
 """Integer finite domains, the variable store, and trail-based backtracking.
 
 A domain is an anchored bitmask: bit ``i`` of ``mask`` set means the value
-``anchor + i`` is present.  Python ints are immutable, so a trail snapshot
-is just the old mask reference; restoring a level re-installs saved masks
-in reverse order, which makes restoration exact by construction.  The
-store keeps the one stack of levels (each level's trail start and a copy
-of the propagator states), the states themselves, and a mark per variable
-whose bounds moved since its watchers were last advised.
+``anchor + i`` is present, with the cached ``size``, ``min`` and ``max``.
+A trail entry saves all four fields before a shrink (Python ints are
+immutable, so that is four references); restoring a level reinstalls the
+saved fields in reverse order, which makes restoration exact by
+construction and recomputes nothing.  The store keeps the one stack of
+levels (each level's trail start and a copy of the propagator states),
+the states themselves, and a mark per variable of the events (min moved,
+max moved, fixed) since its watchers were last advised.
 """
 
 from __future__ import annotations
@@ -28,14 +30,16 @@ UNCHANGED = ChangeOutcome.UNCHANGED
 SHRUNK = ChangeOutcome.SHRUNK
 WOULD_EMPTY = ChangeOutcome.WOULD_EMPTY
 
-# memoized ln(k) for domain sizes; grown on demand
+# the events a shrink operation ORs into ``DomainStore.moved[x]``
+MIN_MOVED, MAX_MOVED, FIXED = 1, 2, 4
+
+# ln(k) for domain sizes k; every store grows it to its largest domain
 _LOG: list[float] = [0.0, 0.0]
 
 
-def _log_of(size: int) -> float:
+def _grow_log(size: int) -> None:
     if size >= len(_LOG):
         _LOG.extend(math.log(k) for k in range(len(_LOG), size + 1))
-    return _LOG[size]
 
 
 class FiniteDomain:
@@ -93,34 +97,35 @@ class FiniteDomain:
 
 
 class Trail:
-    """Chronological undo log of (var, old mask) pairs.
+    """Chronological undo log of ``(var, mask, size, min, max)`` entries,
+    each the fields of the variable's domain before a shrink.
 
     The log is cut into segments: a new one starts at each ``segment`` and
     each ``pop_to`` call.  A variable is logged at most once per segment,
     when it first shrinks there, so the entries of a segment list exactly
     the variables it shrank.  A store level may span several segments and
     hold several entries for one variable; replaying them in reverse
-    reinstalls the oldest mask last.
+    reinstalls the oldest fields last.
     """
 
     __slots__ = ("entries", "_epoch", "_stamps")
 
     def __init__(self, nvars: int):
-        self.entries: list[tuple[int, int]] = []
+        self.entries: list[tuple[int, int, int, int, int]] = []
         self._epoch = 0
         self._stamps = [-1] * nvars
 
-    def record(self, x: int, mask: int) -> None:
+    def record(self, x: int, d: FiniteDomain) -> None:
         if self._stamps[x] != self._epoch:
             self._stamps[x] = self._epoch
-            self.entries.append((x, mask))
+            self.entries.append((x, d.mask, d.size, d.min, d.max))
 
     def segment(self) -> int:
         """Start a new segment; returns the index of its first entry."""
         self._epoch += 1
         return len(self.entries)
 
-    def pop_to(self, start: int) -> list[tuple[int, int]]:
+    def pop_to(self, start: int) -> list[tuple[int, int, int, int, int]]:
         """Cut the log at index ``start``, start a new segment and return
         the cut entries (in the order they were logged)."""
         undo = self.entries[start:]
@@ -142,12 +147,13 @@ class DomainStore:
     ``states[pid]``, never mutated in place, and nothing may hold on to
     ``states`` across a restore.
 
-    ``moved[x]`` is set by the shrink operation that moves a bound of
-    ``x``: ``tighten_min``, ``tighten_max`` and ``assign`` always, and
-    ``remove_value`` and ``remove_bits`` only when they cut the min or the
-    max.  The engine clears it when it advises the watchers of ``x``, and
-    ``forget_states`` clears every mark, so every mark is 0 between engine
-    calls unless the store was edited directly.
+    ``moved[x]`` ORs the events of ``x`` since its watchers were last
+    advised: ``MIN_MOVED`` when a shrink operation raised the min,
+    ``MAX_MOVED`` when it lowered the max and ``FIXED`` when it left one
+    value.  Each operation sets only what it changes, so an interior
+    removal sets nothing.  The engine clears the mark when it advises the
+    watchers of ``x``, and ``forget_states`` clears every mark, so every
+    mark is 0 between engine calls unless the store was edited directly.
     """
 
     __slots__ = ("domains", "trail", "states", "moved", "_levels")
@@ -158,6 +164,7 @@ class DomainStore:
         self.states: dict[int, object] = {}
         self.moved = bytearray(len(self.domains))
         self._levels: list[tuple[int, dict[int, object]]] = []  # (trail start, states)
+        _grow_log(max((d.size for d in self.domains), default=1))
 
     @property
     def level(self) -> int:
@@ -177,8 +184,12 @@ class DomainStore:
         start, self.states = levels[k - 1]
         del levels[k - 1:]
         domains = self.domains
-        for x, mask in reversed(self.trail.pop_to(start)):
-            domains[x]._set_mask(mask)
+        for x, mask, size, lo, hi in reversed(self.trail.pop_to(start)):
+            d = domains[x]
+            d.mask = mask
+            d.size = size
+            d.min = lo
+            d.max = hi
 
     def forget_states(self) -> None:
         """Drop every propagator state and clear every mark, so that each
@@ -186,34 +197,49 @@ class DomainStore:
         self.states.clear()
         self.moved[:] = bytes(len(self.moved))
 
-    # -- shrinking operations; WOULD_EMPTY always leaves the store untouched --
+    # -- shrinking operations; WOULD_EMPTY always leaves the store untouched.
+    # Each sets only the domain fields it changes, and marks only its events.
 
     def remove_value(self, x: int, v: int) -> ChangeOutcome:
         d = self.domains[x]
         i = v - d.anchor
         if i < 0 or (d.mask >> i) & 1 == 0:
             return UNCHANGED
-        if d.size == 1:
+        size = d.size
+        if size == 1:
             return WOULD_EMPTY
-        self.trail.record(x, d.mask)
-        if v == d.min or v == d.max:
-            self.moved[x] = 1
-        d._set_mask(d.mask & ~(1 << i))
+        self.trail.record(x, d)
+        d.mask = mask = d.mask ^ (1 << i)
+        d.size = size - 1
+        if v == d.min:
+            d.min = d.anchor + (mask & -mask).bit_length() - 1
+            self.moved[x] |= MIN_MOVED | FIXED if size == 2 else MIN_MOVED
+        elif v == d.max:
+            d.max = d.anchor + mask.bit_length() - 1
+            self.moved[x] |= MAX_MOVED | FIXED if size == 2 else MAX_MOVED
         return SHRUNK
 
     def remove_bits(self, x: int, bits: int) -> ChangeOutcome:
         """Remove every value whose anchored bit is set in ``bits``."""
         d = self.domains[x]
-        new = d.mask & ~bits
-        if new == d.mask:
+        mask = d.mask
+        gone = mask & bits
+        if not gone:
             return UNCHANGED
-        if new == 0:
+        if gone == mask:
             return WOULD_EMPTY
-        self.trail.record(x, d.mask)
-        lo, hi = d.min, d.max
-        d._set_mask(new)
-        if d.min != lo or d.max != hi:
-            self.moved[x] = 1
+        self.trail.record(x, d)
+        d.mask = new = mask ^ gone
+        d.size = size = d.size - gone.bit_count()
+        events = 0
+        if gone & -mask:  # gone holds mask's lowest bit (-mask: it and bits not in mask)
+            d.min = d.anchor + (new & -new).bit_length() - 1
+            events = MIN_MOVED
+        if gone.bit_length() == mask.bit_length():  # gone holds its highest bit
+            d.max = d.anchor + new.bit_length() - 1
+            events |= MAX_MOVED
+        if events:
+            self.moved[x] |= events | FIXED if size == 1 else events
         return SHRUNK
 
     def assign(self, x: int, v: int) -> ChangeOutcome:
@@ -223,9 +249,11 @@ class DomainStore:
             return WOULD_EMPTY
         if d.size == 1:
             return UNCHANGED
-        self.trail.record(x, d.mask)
-        self.moved[x] = 1
-        d._set_mask(1 << i)
+        self.trail.record(x, d)
+        self.moved[x] |= FIXED | (v != d.min) * MIN_MOVED | (v != d.max) * MAX_MOVED
+        d.mask = 1 << i
+        d.size = 1
+        d.min = d.max = v
         return SHRUNK
 
     def tighten_min(self, x: int, lb: int) -> ChangeOutcome:
@@ -234,9 +262,11 @@ class DomainStore:
             return UNCHANGED
         if lb > d.max:
             return WOULD_EMPTY
-        self.trail.record(x, d.mask)
-        self.moved[x] = 1
-        d._set_mask(d.mask & ~((1 << (lb - d.anchor)) - 1))
+        self.trail.record(x, d)
+        d.mask = mask = d.mask >> (lb - d.anchor) << (lb - d.anchor)
+        d.size = size = mask.bit_count()
+        d.min = d.anchor + (mask & -mask).bit_length() - 1
+        self.moved[x] |= MIN_MOVED | FIXED if size == 1 else MIN_MOVED
         return SHRUNK
 
     def tighten_max(self, x: int, ub: int) -> ChangeOutcome:
@@ -245,18 +275,21 @@ class DomainStore:
             return UNCHANGED
         if ub < d.min:
             return WOULD_EMPTY
-        self.trail.record(x, d.mask)
-        self.moved[x] = 1
-        d._set_mask(d.mask & ((1 << (ub - d.anchor + 1)) - 1))
+        self.trail.record(x, d)
+        d.mask = mask = d.mask & ((1 << (ub - d.anchor + 1)) - 1)
+        d.size = size = mask.bit_count()
+        d.max = d.anchor + mask.bit_length() - 1
+        self.moved[x] |= MAX_MOVED | FIXED if size == 1 else MAX_MOVED
         return SHRUNK
 
     # -- queries --
 
     def search_space_log_size(self) -> float:
         """ln of the product of all domain sizes (log form avoids overflow)."""
+        log = _LOG
         total = 0.0
-        for d in self.domains:
-            total += _log_of(d.size)
+        for d in self.domains:  # not ``sum``: from 3.12 it compensates float sums
+            total += log[d.size]
         return total
 
     def assignment(self) -> list[int]:

@@ -1,11 +1,11 @@
 """Fixpoint propagation engine: FIFO queue over propagators, every watcher
-of a changed variable scheduled, advice only of variables whose bounds
-moved (``store.moved``), no call to a propagator popped with a saved state
-and no advice, exact affected-variable reporting read from the trail
-segment each call opens.  The rows (the knapsack and ``x < y`` among them)
-and ``AllDifferent`` keep a state, ``ObjectiveBound`` none.  States are
-never trailed: a failure drops them all, and the store's per-level copies
-bring them back on a restore."""
+of a changed variable scheduled, advice only of the events (min moved, max
+moved, fixed; ``store.moved``) a watcher's filter reads, no call to a
+propagator popped with a saved state and no advice, exact affected-variable
+reporting read from the trail segment each call opens.  The rows (the
+knapsack and ``x < y`` among them) and ``AllDifferent`` keep a state,
+``ObjectiveBound`` none.  States are never trailed: a failure drops them
+all, and the store's per-level copies bring them back on a restore."""
 
 from __future__ import annotations
 
@@ -49,17 +49,22 @@ class Engine:
     """Runs propagators to a fixpoint over a store.
 
     Holds the propagator list, one advice list per propagator (empty
-    between calls) and var -> watching propagators; one engine per solve is
-    cheap.  Propagator states and bound-moved marks live in the store.
+    between calls), var -> watching propagators, and per mark and var the
+    watchers that read one of its events (``Propagator.reads``); one engine
+    per solve is cheap.  Propagator states and event marks live in the
+    store.
     """
 
     def __init__(self, nvars: int, propagators: Sequence[Propagator]):
         self.propagators = list(propagators)
         self.advice: list[list[int]] = [[] for _ in self.propagators]
-        self.watchers: list[list[int]] = [[] for _ in range(nvars)]
+        reads: list[list[tuple[int, int]]] = [[] for _ in range(nvars)]
         for p in self.propagators:
-            for x in p.scope:
-                self.watchers[x].append(p.pid)
+            for x, events in zip(p.scope, p.reads()):
+                reads[x].append((p.pid, events))
+        self.watchers = [[q for q, _ in w] for w in reads]
+        # advised[m][x]: the watchers of x that read an event of the mark m
+        self.advised = [[[q for q, events in w if events & m] for w in reads] for m in range(8)]
 
     def propagate(
         self,
@@ -79,16 +84,19 @@ class Engine:
 
         The decision and every ``changed`` list go through one step: each
         watcher of a changed variable is scheduled, in FIFO order, and if
-        the variable's mark ``store.moved[x]`` is set (its bounds moved
+        the variable's mark ``store.moved[x]`` is set (the events of ``x``
         since its watchers were last advised) the mark is cleared and the
-        variable is appended to each watcher's advice list, which is passed
-        to that propagator's next call and then emptied.  A propagator is
-        not advised of its own changes: its state already holds them.  A
-        popped propagator with no advice and a saved state is not called:
-        every stateful propagator filters on bounds and fixedness alone,
-        and its state is at its own fixpoint, so the call would return
-        ``[]`` and write nothing.  Skipping it leaves the queue, every store
-        call and the trail as they were.
+        variable is appended to the advice list of each watcher that reads
+        one of those events (``advised``), which is passed to that
+        propagator's next call and then emptied.  A propagator is not
+        advised of its own changes: its state already holds them.  A popped
+        propagator with no advice and a saved state is not called: every
+        stateful propagator filters on the events it reads alone, and its
+        state is at its own fixpoint, so the call would return ``[]`` and
+        write nothing, as would one advised only of events it does not
+        read.  Skipping it leaves the queue, every store call and the trail
+        as they were, and every call that remains gets the advice it acts
+        on.
 
         On failure every propagator state and mark is dropped: the failing
         propagator may have stored a state before it failed, the queued
@@ -103,6 +111,7 @@ class Engine:
         props = self.propagators
         watchers = self.watchers
         advice = self.advice
+        advised = self.advised
         moved = store.moved
         queue: deque[int] = deque()
         scheduled = bytearray(len(props))
@@ -125,18 +134,15 @@ class Engine:
         adv: list[int] = []
         while True:
             for x in changed:
-                if moved[x]:
+                m = moved[x]
+                if m:
                     moved[x] = 0
-                    for q in watchers[x]:
+                    for q in advised[m][x]:
                         advice[q].append(x)
-                        if not scheduled[q]:
-                            scheduled[q] = 1
-                            push(q)
-                else:
-                    for q in watchers[x]:
-                        if not scheduled[q]:
-                            scheduled[q] = 1
-                            push(q)
+                for q in watchers[x]:
+                    if not scheduled[q]:
+                        scheduled[q] = 1
+                        push(q)
             if adv:
                 adv.clear()  # the propagator that made these changes
             if seeds:
@@ -152,10 +158,10 @@ class Engine:
                 if adv or pid not in states:
                     break
             else:
-                return PropagationResult(None, [x for x, _ in trail.entries[start:]])
+                return PropagationResult(None, [e[0] for e in trail.entries[start:]])
             changed = props[pid].propagate(store, adv)
             if changed is None:
                 for q in (pid, *queue):
                     advice[q].clear()
                 store.forget_states()
-                return PropagationResult(pid, [x for x, _ in trail.entries[start:]])
+                return PropagationResult(pid, [e[0] for e in trail.entries[start:]])

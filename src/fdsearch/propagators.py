@@ -4,30 +4,37 @@
 None on failure (a wipeout); the store is left untouched by the op that
 would have emptied a domain, so the caller's trail stays consistent.
 
-``advice`` lists the scope variables whose bounds moved since the
-propagator's previous call, other than by its own changes (a variable may
-appear more than once).  There are three filters: ``_Linear``, which the
-``<=`` rows ``BinaryKnapsackAtmost`` and ``BinaryLess`` inherit,
-``AllDifferent`` and ``ObjectiveBound``, which ignores the advice.  The
-first two keep a summary of their scope in ``store.states[pid]`` between
-calls and bring it up to date from the advised variables alone; with no
-state yet they scan the scope and build one.  A state is replaced by
-assignment, never mutated in place, because the store's per-level copies
-share it.  A stored state is at its own fixpoint, so a row returns ``[]``
-at once when the advice moved nothing it prunes by, and the engine does
-not call a propagator with a state and no advice.  That is exact because
-every propagator that keeps a state filters on bounds and fixedness only,
-which an interior removal leaves as they were.  A direct call, as from a
-test, reads and writes ``store.states`` as an engine call does: it passes
-``[]`` on a store with no state for the propagator, and after narrowing
-the store itself, the variables whose bounds it moved.
+``advice`` lists the scope variables on which an event the propagator
+reads occurred since its previous call, other than by its own changes (a
+variable may appear more than once).  ``reads()`` gives, per scope
+variable, the events of ``DomainStore.moved`` that the filter reads: a
+``<=`` row its terms' lower bounds (the min for a positive coefficient,
+the max for a negative one), an equality both bounds, ``AllDifferent``
+only fixes and ``ObjectiveBound`` none; a propagator of the user's own
+reads both bounds unless it says otherwise.  There are three filters:
+``_Linear``, which the ``<=`` rows ``BinaryKnapsackAtmost`` and
+``BinaryLess`` inherit, ``AllDifferent`` and ``ObjectiveBound``, which
+ignores the advice.  The first two keep a summary of their scope in
+``store.states[pid]`` between calls and bring it up to date from the
+advised variables alone; with no state yet they scan the scope and build
+one.  A state is replaced by assignment, never mutated in place, because
+the store's per-level copies share it.  A stored state is at its own
+fixpoint, so a row returns ``[]`` at once when the advice moved nothing it
+prunes by, and the engine does not call a propagator with a state and no
+advice.  That is exact because every propagator that keeps a state
+filters on the events it reads only, which the other events leave as they
+were.  A direct call, as from a test, reads and writes ``store.states`` as
+an engine call does: it passes ``[]`` on a store with no state for the
+propagator, and after narrowing the store itself, at least the variables
+on which an event the propagator reads occurred; listing others as well
+changes nothing.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .domain import DomainStore, SHRUNK, WOULD_EMPTY
+from .domain import DomainStore, FIXED, MAX_MOVED, MIN_MOVED, SHRUNK, WOULD_EMPTY
 
 
 class Propagator:
@@ -49,6 +56,11 @@ class Propagator:
     def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
         raise NotImplementedError
 
+    def reads(self) -> list[int]:
+        """Per scope variable, the events of ``DomainStore.moved`` the
+        filter reads; the engine advises only of these.  Both bounds here."""
+        return [MIN_MOVED | MAX_MOVED] * len(self.scope)
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}(pid={self.pid}, scope={self.scope})"
 
@@ -68,6 +80,13 @@ class _Linear(Propagator):
             raise ValueError("zero coefficients are not allowed")
         self.coeffs = coeffs
         self.rhs = rhs
+
+    def reads(self) -> list[int]:
+        """An equality reads both bounds; a <= row only its terms' lower
+        bounds: the min for c > 0, the max for c < 0, nothing for c = 0."""
+        if self.is_eq:
+            return super().reads()
+        return [(c > 0) * MIN_MOVED | (c < 0) * MAX_MOVED for c in self.coeffs]
 
     def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
         """Tighten every term against the others' bounds until nothing moves.
@@ -245,6 +264,9 @@ class AllDifferent(Propagator):
     kind = "alldifferent"
     __slots__ = ()
 
+    def reads(self) -> list[int]:
+        return [FIXED] * len(self.scope)
+
     def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
         """Each pass takes the variables bound since the last pass (the
         whole scope on a scan, the advice with a state), checks their values
@@ -359,6 +381,9 @@ class ObjectiveBound(Propagator):
         super().__init__([var])
         self.maximize = maximize
         self.bound: Optional[int] = None
+
+    def reads(self) -> list[int]:
+        return [0]  # the bound alone, not the advice, drives the filter
 
     def update(self, incumbent: int) -> None:
         self.bound = incumbent + 1 if self.maximize else incumbent - 1

@@ -525,7 +525,7 @@ class ReferenceEngine:
                 schedule(q)
 
         def affected() -> list[int]:
-            return [x for x, _ in store.trail.entries[start:]]
+            return [e[0] for e in store.trail.entries[start:]]
 
         if decision is None:
             store.forget_states()

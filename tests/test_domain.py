@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdsearch import ChangeOutcome, DomainStore, FiniteDomain
-from fdsearch.domain import Trail
+from fdsearch.domain import FIXED, MAX_MOVED, MIN_MOVED, Trail
 
 
 def store_of(*domains):
@@ -208,20 +208,56 @@ class TestTrailRoundTrip:
 SHRINK_OPS = ("remove_value", "remove_bits", "assign", "tighten_min", "tighten_max")
 
 
+def fields(d):
+    return d.size, d.min, d.max
+
+
+class TestCachedFields:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        values=st.lists(st.sets(st.integers(-4, 8), min_size=1), min_size=1, max_size=3),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(SHRINK_OPS + ("push", "restore")),
+                st.integers(0, 2),
+                st.integers(-6, 10),
+                st.integers(0, 2**13 - 1),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_size_min_max_match_the_mask(self, values, ops):
+        """Every shrink operation sets only the fields it changes and every
+        ``restore_to`` reinstalls saved ones: after each, every domain's
+        ``size``, ``min`` and ``max`` are those ``from_mask`` computes."""
+        s = store_of(*values)
+        for op, x, arg, bits in ops:
+            if op == "push":
+                s.push_level()
+            elif op == "restore":
+                if s.level:
+                    s.restore_to(1 + arg % s.level)
+            else:
+                getattr(s, op)(x % len(values), bits if op == "remove_bits" else arg)
+            for d in s.domains:
+                assert fields(d) == fields(FiniteDomain.from_mask(d.anchor, d.mask))
+
+
 class TestBoundMovedMarks:
     @settings(max_examples=500, deadline=None)
     @given(
         values=st.lists(st.sets(st.integers(-4, 8), min_size=1), min_size=1, max_size=3),
-        marks=st.lists(st.booleans(), min_size=3, max_size=3),
+        marks=st.lists(st.integers(0, 7), min_size=3, max_size=3),
         op=st.sampled_from(SHRINK_OPS),
         x=st.integers(0, 2),
         arg=st.integers(-6, 10),
         bits=st.integers(0, 2**13 - 1),
     )
     def test_set_iff_a_bound_moved(self, values, marks, op, x, arg, bits):
-        """Each shrink operation marks ``x`` if and only if it moved the min
-        or the max, and touches no mark on UNCHANGED and WOULD_EMPTY; a set
-        mark stays set."""
+        """Each shrink operation ORs into the mark of ``x`` the bit
+        ``MIN_MOVED`` iff it raised the min, ``MAX_MOVED`` iff it lowered
+        the max and ``FIXED`` iff it left one value; it keeps the bits
+        already set and touches no mark on UNCHANGED and WOULD_EMPTY."""
         s = store_of(*values)
         x %= len(values)
         s.moved[:] = bytes(marks[: len(values)])
@@ -229,8 +265,10 @@ class TestBoundMovedMarks:
         d = s.domains[x]
         lo, hi = d.min, d.max
         out = getattr(s, op)(x, bits if op == "remove_bits" else arg)
-        if out is ChangeOutcome.SHRUNK and (d.min, d.max) != (lo, hi):
-            before[x] = 1
+        if out is ChangeOutcome.SHRUNK:
+            before[x] |= (
+                (d.min != lo) * MIN_MOVED | (d.max != hi) * MAX_MOVED | (d.size == 1) * FIXED
+            )
         assert s.moved == before
 
     def test_interior_removals_leave_the_mark_clear(self):
@@ -240,7 +278,7 @@ class TestBoundMovedMarks:
         assert tuple(s.domains[0].values()) == (1, 5) and s.moved[0] == 0
         assert s.remove_bits(0, 0b10001) is ChangeOutcome.WOULD_EMPTY
         assert s.remove_value(0, 5) is ChangeOutcome.SHRUNK
-        assert s.moved[0] == 1
+        assert s.moved[0] == MAX_MOVED | FIXED
 
     def test_forget_states_clears_every_mark_and_restore_none(self):
         s = store_of([1, 2, 3], [1, 2, 3])
@@ -248,7 +286,7 @@ class TestBoundMovedMarks:
         k = s.push_level()
         s.tighten_min(0, 2)
         s.restore_to(k)
-        assert s.moved == bytearray([1, 0]) and s.states == {0: "state"}
+        assert s.moved == bytearray([MIN_MOVED, 0]) and s.states == {0: "state"}
         s.forget_states()
         assert s.moved == bytearray(2) and s.states == {}
 
@@ -257,10 +295,10 @@ class TestTrailInternals:
     def test_one_snapshot_per_var_per_level(self):
         t = Trail(2)
         t.segment()
-        t.record(0, 0b111)
-        t.record(0, 0b011)  # second change at same level: no new entry
-        t.record(1, 0b101)
-        assert t.entries == [(0, 0b111), (1, 0b101)]
+        t.record(0, FiniteDomain(1, 3))
+        t.record(0, FiniteDomain(2, 3))  # second change in the segment: no new entry
+        t.record(1, FiniteDomain.from_values([1, 3]))
+        assert t.entries == [(0, 0b111, 3, 1, 3), (1, 0b101, 2, 1, 3)]  # (x, mask, size, min, max)
 
     def test_reverse_replay_restores_oldest(self):
         s = store_of([1, 2, 3, 4])
@@ -288,4 +326,4 @@ class TestTrailInternals:
         assert s.push_level() == k
         s.restore_to(k)
         assert s.states == {7: "root, again"}
-        assert s.trail.entries == []  # the trail logs masks only
+        assert s.trail.entries == []  # the trail logs domain fields only

@@ -17,7 +17,7 @@ from fdsearch import (
     solve,
 )
 from fdsearch.bench import build_benchmark
-from fdsearch.domain import SHRUNK, WOULD_EMPTY
+from fdsearch.domain import MAX_MOVED, MIN_MOVED, SHRUNK, WOULD_EMPTY
 from fdsearch.engine import DECISION, PropagationResult
 
 from oracles import (
@@ -501,32 +501,64 @@ class TestStatefulPath:
         run_twin_ops(random_mixed_model(rng), rng, ops)
 
     def test_variable_advised_twice_counts_once(self):
-        """Two rows shrink x in turn in one fixpoint, so the alldifferent is
-        advised x twice; x's value must count once, not as a duplicate."""
+        """A direct call may list a variable twice, as the engine did when two
+        rows moved it in turn; the value of x must count once, not as a
+        duplicate."""
         m = Model()
-        x = m.add_var(1, 4)
-        y = m.add_var(1, 3)
-        z = m.add_var(0, 3)
-        calls = []
-
-        class Spy(AllDifferent):
-            __slots__ = ()
-
-            def propagate(self, store, advice):
-                calls.append(list(advice))
-                return super().propagate(store, advice)
-
-        m.post(Spy([x, y]))
-        m.post(LinearLeq([1, 1], [x, z], 4))  # z = 2 gives x <= 2
-        m.post(LinearLeq([1, 2], [x, z], 5))  # z = 2 gives x <= 1
-        store, engine, res = run_fixpoint(m)
-        assert res.ok and tuple(store.domains[z].values()) == (0, 1, 2)
-        store.push_level()
-        res = engine.propagate(store, decision=("eq", z, 2))
+        x, y = m.add_var(1, 4), m.add_var(1, 3)
+        m.post(AllDifferent([x, y]))
+        prop = m.propagators[0]
+        store, _, res = run_fixpoint(m)
         assert res.ok
-        assert [x, x] in calls
-        assert tuple(store.domains[x].values()) == (1,)
+        store.assign(x, 1)
+        assert prop.propagate(store, [x, x]) == [y]
         assert tuple(store.domains[y].values()) == (2, 3)
+
+    @pytest.mark.parametrize("kind", ("linear_leq", "binary_knapsack_atmost", "binary_less", "alldifferent"))
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_advice_of_unread_events_changes_nothing(self, kind, seed):
+        """After a scan, narrowings that make only events the propagator
+        does not read (a row's term upper bounds, an alldifferent's
+        interior or bound removals that fix nothing): a direct call advised
+        of them returns ``[]`` and leaves the masks, the trail and the state
+        as they were, so the engine may drop that advice.  An equality reads
+        every event a shrink can make."""
+        rng = random.Random(seed)
+        if kind == "binary_less":
+            prop = BinaryLess(0, 1, strict=rng.random() < 0.5)
+            specs = [(vs[0], sum(1 << (v - vs[0]) for v in vs))
+                     for vs in (random_domain(rng), random_domain(rng))]
+        else:
+            prop, specs = random_filtering_case(rng, kind)
+        store = DomainStore([FiniteDomain.from_mask(a, mask) for a, mask in specs])
+        if prop.propagate(store, []) is None:
+            return
+        store.moved[:] = bytes(len(store.moved))
+        reads = dict(zip(prop.scope, prop.reads()))
+        advice = []
+        for x in rng.choices(prop.scope, k=4):
+            d = store.domains[x]
+            v = rng.choice(tuple(d.values()))
+            if kind == "alldifferent":
+                if d.size > 2:
+                    store.remove_value(x, v)
+            elif reads[x] & MIN_MOVED:
+                store.tighten_max(x, v)
+            else:
+                store.tighten_min(x, v)
+            assert store.moved[x] & reads[x] == 0
+            if store.moved[x]:
+                advice.append(x)
+        if not advice:
+            return
+        state = store.states[prop.pid]
+        masks = [d.mask for d in store.domains]
+        entries = list(store.trail.entries)
+        assert prop.propagate(store, advice) == []
+        assert [d.mask for d in store.domains] == masks
+        assert store.trail.entries == entries
+        assert store.states[prop.pid] is state
 
     def test_states_come_back_on_restore(self):
         """A fixpoint without a decision below the root drops every state, and the restore
@@ -615,11 +647,12 @@ class TestStatefulPath:
 
 def spied(m, calls):
     """``m``'s propagators, each wrapped to append ``(pid, advice)`` to
-    ``calls`` before it runs."""
+    ``calls`` before it runs; it reads the events its propagator reads."""
 
     class Spy:
         def __init__(self, prop):
             self.prop, self.pid, self.scope = prop, prop.pid, prop.scope
+            self.reads = prop.reads
 
         def propagate(self, store, advice):
             calls.append((self.pid, list(advice)))
@@ -703,17 +736,18 @@ class TestToldBounds:
     def test_interior_removal_schedules_without_advice(self):
         """w = 5 makes the alldifferent remove 5 from the middle of x, which
         schedules the rows r, q and s on x in that order without advice.
-        Then the first row moves the bounds of u and y, which advises q of
-        u and r of y in their places, ahead of s: the first-written loop
-        calls r before q too, where pushing them afresh would call q first.
+        Then the first row lowers the maxima of u and y, which r and q
+        read, and advises q of u and r of y in their places, ahead of s:
+        the first-written loop calls r before q too, where pushing them
+        afresh would call q first.
         s is never advised, and neither the alldifferent nor the first row
         is advised of its own changes, so none of the three is called."""
         m = Model()
         w, x, u, y, v = m.add_var(1, 9), m.add_var(1, 9), m.add_var(0, 9), m.add_var(0, 9), m.add_var(0, 9)
         m.post(AllDifferent([w, x]))
         m.post(LinearLeq([1, 1, 1], [w, u, y], 9))
-        r = m.post(LinearLeq([1, 1], [x, y], 20))
-        q = m.post(LinearLeq([1, 1], [x, u], 20))
+        r = m.post(LinearLeq([1, -1], [x, y], 20))  # reads the max of y
+        q = m.post(LinearLeq([1, -1], [x, u], 20))  # and this one that of u
         s = m.post(LinearLeq([1, -1], [x, v], 9))
         runs = {}
         for name, cls in (("ours", Engine), ("first", ReferenceEngine)):
@@ -761,7 +795,7 @@ class TestToldBounds:
         engine = Engine(m.num_vars, spied(m, calls))
         assert engine.propagate(store).ok
         store.tighten_max(x, 5)
-        assert store.moved[x] == 1
+        assert store.moved[x] == MAX_MOVED
         assert engine.propagate(store).ok
         assert (store.moved[x], store.domains[y].min) == (0, 4)
         calls.clear()

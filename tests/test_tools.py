@@ -1,8 +1,8 @@
 """``tools/trace_diff.py``'s exit codes on small hand-written result lines,
 ``tools/surface.py``'s counts on a tiny package, ``tools/linehits.py``'s
 collection and report on a tiny module, ``tools/tree_digest.py`` on the
-package and on a copy that branches differently, and a check for unused
-imports."""
+package and on a copy that branches differently, ``tools/opcount.py``'s
+counts on one small solve, and a check for unused imports."""
 
 import ast
 import importlib.util
@@ -27,6 +27,7 @@ def load_tool(name):
 
 trace_diff = load_tool("trace_diff")
 linehits = load_tool("linehits")
+opcount = load_tool("opcount")
 
 
 def result(metrics):
@@ -214,6 +215,29 @@ def test_tree_digest_tells_a_changed_tree(tmp_path):
     done = run_tree_digest(str(tmp_path), "--check")
     assert done.returncode == 1
     assert done.stdout.count("differs: ") == 3
+
+
+def test_opcount_gives_the_same_counts_twice():
+    """The opcode counts of one small solve repeat exactly, and they cover
+    the engine, the filters and the store, not the tool's own frames.  A
+    first untraced solve grows the process-wide table of logarithms, so
+    neither counted solve grows it; the tool counts in a fresh process,
+    where every run grows it alike."""
+    import fdsearch
+    from fdsearch.bench import build_benchmark
+
+    model = build_benchmark("msq:3")
+    package = Path(fdsearch.__file__).parent
+
+    def run():
+        fdsearch.solve(model, "abs", seed=1, max_failures=20)
+
+    run()
+    runs = [opcount.count_opcodes(package, run) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert {"engine.Engine.propagate", "propagators._Linear.propagate",
+            "domain.DomainStore.restore_to"} <= runs[0].keys()
+    assert not any(name.startswith("opcount") for name in runs[0])
 
 
 def test_unused_imports_finds_what_nothing_reads():
