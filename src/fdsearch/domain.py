@@ -197,8 +197,9 @@ class DomainStore:
         self.states.clear()
         self.moved[:] = bytes(len(self.moved))
 
-    # -- shrinking operations; WOULD_EMPTY always leaves the store untouched.
-    # Each sets only the domain fields it changes, and marks only its events.
+    # -- shrinking operations; WOULD_EMPTY always leaves the domain it would
+    # have emptied untouched.  Each sets only the domain fields it changes,
+    # and marks only its events.
 
     def remove_value(self, x: int, v: int) -> ChangeOutcome:
         d = self.domains[x]
@@ -219,28 +220,51 @@ class DomainStore:
             self.moved[x] |= MAX_MOVED | FIXED if size == 2 else MAX_MOVED
         return SHRUNK
 
-    def remove_bits(self, x: int, bits: int) -> ChangeOutcome:
-        """Remove every value whose anchored bit is set in ``bits``."""
-        d = self.domains[x]
-        mask = d.mask
-        gone = mask & bits
-        if not gone:
-            return UNCHANGED
-        if gone == mask:
-            return WOULD_EMPTY
-        self.trail.record(x, d)
-        d.mask = new = mask ^ gone
-        d.size = size = d.size - gone.bit_count()
-        events = 0
-        if gone & -mask:  # gone holds mask's lowest bit (-mask: it and bits not in mask)
-            d.min = d.anchor + (new & -new).bit_length() - 1
-            events = MIN_MOVED
-        if gone.bit_length() == mask.bit_length():  # gone holds its highest bit
-            d.max = d.anchor + new.bit_length() - 1
-            events |= MAX_MOVED
-        if events:
-            self.moved[x] |= events | FIXED if size == 1 else events
-        return SHRUNK
+    def remove_bits(
+        self, xs: Sequence[int], bits: int, base: int, changed: list[int]
+    ) -> ChangeOutcome:
+        """Remove the values ``v`` whose bit ``v - base`` is set in ``bits``
+        from each domain of ``xs`` that holds more than one value, in the
+        order of ``xs``, appending each domain it shrinks to ``changed``;
+        every anchor must be at least ``base``.  Returns SHRUNK if one
+        shrank, else UNCHANGED, or WOULD_EMPTY at the first domain it would
+        empty, which it leaves as it was: the domains shrunk before it stay
+        shrunk and trailed, as the same ops on one variable at a time would
+        leave them."""
+        domains = self.domains
+        moved = self.moved
+        trail = self.trail
+        stamps = trail._stamps
+        epoch = trail._epoch
+        log = trail.entries.append
+        count = len(changed)
+        for x in xs:
+            d = domains[x]
+            size = d.size
+            if size == 1:
+                continue
+            mask = d.mask
+            gone = mask & bits >> (d.anchor - base)
+            if not gone:
+                continue
+            if gone == mask:
+                return WOULD_EMPTY
+            if stamps[x] != epoch:  # Trail.record, inlined
+                stamps[x] = epoch
+                log((x, mask, size, d.min, d.max))
+            d.mask = new = mask ^ gone
+            d.size = size = size - gone.bit_count()
+            events = 0
+            if gone & -mask:  # gone holds mask's lowest bit (-mask: it and bits not in mask)
+                d.min = d.anchor + (new & -new).bit_length() - 1
+                events = MIN_MOVED
+            if gone > new:  # gone holds mask's highest bit (the two split mask's bits)
+                d.max = d.anchor + new.bit_length() - 1
+                events |= MAX_MOVED
+            if events:
+                moved[x] |= events | FIXED if size == 1 else events
+            changed.append(x)
+        return SHRUNK if len(changed) > count else UNCHANGED
 
     def assign(self, x: int, v: int) -> ChangeOutcome:
         d = self.domains[x]

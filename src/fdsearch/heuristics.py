@@ -203,12 +203,18 @@ class ImpactSearch(SearchHeuristic):
     space, i.e. the smallest sum of (1 - impact) over the live values, then
     on a value of least impact.  ``select_value`` records the node's log
     size, against which the impact of the x = v that follows is measured.
+
+    A variable's score depends only on its mask and its impacts, so it is
+    cached per variable with the mask and ``writes[x]``, the number of
+    impacts of x written by ``initialize`` and ``on_search_fixpoint``.
     """
 
     def __init__(self, model, config, rng):
         super().__init__(model, config, rng)
         self.impact: dict[tuple[int, int], float] = {}
         self.log_before = 0.0
+        self.writes = [0] * model.num_vars
+        self._scores: list[Optional[tuple[int, int, float]]] = [None] * model.num_vars
 
     def initialize(self, solver) -> bool:
         """Probe every root assignment.  The root changes only when a probe
@@ -229,6 +235,7 @@ class ImpactSearch(SearchHeuristic):
                 res = solver.propagate(("eq", x, a))
                 solver.stats.probes += 1
                 self.impact[(x, a)] = _impact(res, store, log_root)
+                self.writes[x] += 1
                 store.restore_to(level)
                 if not res.ok:
                     if not solver.propagate(("ne", x, a)).ok:
@@ -239,10 +246,16 @@ class ImpactSearch(SearchHeuristic):
     def variable_score(self, x: int, store: DomainStore) -> float:
         """Estimated remaining space under labeling x: sum of (1 - impact)
         over current domain values; unknown values count a full 1."""
+        d = store.domains[x]
+        writes = self.writes[x]
+        cached = self._scores[x]
+        if cached is not None and cached[0] == d.mask and cached[1] == writes:
+            return cached[2]
         impact = self.impact
         total = 0.0
-        for a in store.domains[x].values():
+        for a in d.values():
             total += 1.0 - impact.get((x, a), 0.0)
+        self._scores[x] = (d.mask, writes, total)
         return total
 
     def select_variable(self, free, store):
@@ -257,6 +270,7 @@ class ImpactSearch(SearchHeuristic):
         if kind == "eq":  # refutations carry no assignment to score
             impact = _impact(result, store, self.log_before)
             _running_average(self.impact, (x, v), impact, self.config.alpha)
+            self.writes[x] += 1
 
 
 class ActivitySearch(SearchHeuristic):
@@ -354,39 +368,42 @@ class WeightedDegreeSearch(SearchHeuristic):
     propagation wipes out a domain.  Branches on the smallest
     |D(x)| / sum of weights of x's constraints with more than one
     uninstantiated variable; values are tried in ascending domain order.
+
+    ``wsum[x]`` keeps the sum of the weights of all x's constraints; it is
+    built from ``weights`` at the first select, so ``weights`` may be set
+    directly before that, and from then on each failure adds to both.
     """
 
     def __init__(self, model, config, rng):
         super().__init__(model, config, rng)
         self.weights = [1] * len(model.propagators)
-        self._var_props: list[list[int]] = [[] for _ in range(model.num_vars)]
-        for p in model.propagators:
-            for x in p.scope:
-                self._var_props[x].append(p.pid)
+        self.wsum: Optional[list[int]] = None
 
     def _ratios(self, xs: Sequence[int], store: DomainStore) -> list[float]:
-        """|D(x)| / wdeg(x) for each x in ``xs``, where wdeg sums the weights
-        of x's constraints with >1 uninstantiated variable; +inf when no
-        constraint qualifies."""
+        """|D(x)| / wdeg(x) for each unbound x in ``xs``, where wdeg sums the
+        weights of x's constraints with >1 uninstantiated variable; +inf
+        when no constraint qualifies.  That is ``wsum[x]`` less the weight
+        of each constraint whose one uninstantiated variable is x."""
         domains = store.domains
         weights = self.weights
-        future_counts = [0] * len(weights)
-        for p in self.model.propagators:
-            cnt = 0
+        props = self.model.propagators
+        if self.wsum is None:
+            self.wsum = [0] * len(domains)
+            for p in props:
+                for y in p.scope:
+                    self.wsum[y] += weights[p.pid]
+        wdeg = self.wsum[:]
+        for p in props:
+            lone = -1
             for y in p.scope:
                 if domains[y].size > 1:
-                    cnt += 1
-                    if cnt > 1:
+                    if lone >= 0:
                         break
-            future_counts[p.pid] = cnt
-        scores = []
-        for x in xs:
-            wdeg = 0
-            for pid in self._var_props[x]:
-                if future_counts[pid] > 1:
-                    wdeg += weights[pid]
-            scores.append(domains[x].size / wdeg if wdeg else math.inf)
-        return scores
+                    lone = y
+            else:
+                if lone >= 0:
+                    wdeg[lone] -= weights[p.pid]
+        return [domains[x].size / wdeg[x] if wdeg[x] else math.inf for x in xs]
 
     def select_variable(self, free, store):
         return _argbest(free, self._ratios(free, store), self.rng, largest=False)
@@ -395,6 +412,9 @@ class WeightedDegreeSearch(SearchHeuristic):
         pid = result.failed
         if pid is not None and 0 <= pid < len(self.weights):
             self.weights[pid] += 1
+            if self.wsum is not None:
+                for y in self.model.propagators[pid].scope:
+                    self.wsum[y] += 1
 
 
 # The heuristic kinds, by the name a config and the bench CLI use.

@@ -270,11 +270,12 @@ class AllDifferent(Propagator):
     def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
         """Each pass takes the variables bound since the last pass (the
         whole scope on a scan, the advice with a state), checks their values
-        against ``seen`` and removes the new values from the free domains.
-        The values already in ``seen`` are gone from every free domain, so
-        removing the new ones alone leaves the masks that removing all would.
-        ``remove_bits`` is called only on a domain that holds one of them;
-        on any other it would return UNCHANGED.
+        against ``seen`` and removes the new values from the free domains
+        with one ``remove_bits`` call over the scope.  The values already in
+        ``seen`` are gone from every free domain, so removing the new ones
+        alone leaves the masks that removing all would.  The next pass takes
+        the variables that call fixed: those it appended to ``changed``
+        that now hold one value.
 
         The state is ``(base, seen, bound)``: the lowest anchor over the
         scope, the bitset of bound values (bit ``v - base``) and the bitset
@@ -310,20 +311,10 @@ class AllDifferent(Propagator):
                     new |= bit
             if not new:
                 break
-            fresh = []
-            for x in scope:
-                d = domains[x]
-                if d.size > 1:
-                    bits = new >> (d.anchor - base)
-                    if not d.mask & bits:
-                        continue
-                    out = store.remove_bits(x, bits)
-                    if out is WOULD_EMPTY:
-                        return None
-                    if out is SHRUNK:
-                        changed.append(x)
-                        if d.size == 1:
-                            fresh.append(x)
+            start = len(changed)
+            if store.remove_bits(scope, new, base, changed) is WOULD_EMPTY:
+                return None
+            fresh = changed[start:]
         if state is None or bound != bound0:
             store.states[self.pid] = (base, seen, bound)
         return changed

@@ -6,12 +6,14 @@ filtering code, so agreement is meaningful.  The reference filtering loops
 at the end change domains only through ``DomainStore``'s shrink operations,
 ``ReferenceEngine`` runs any propagators to a fixpoint the way the
 first-written engine did, and ``FirstWrittenEngine`` runs it over stateless
-twins that call those loops.
+twins that call those loops.  ``wdeg_ratios`` and ``ibs_variable_score``
+are the heuristics' first-written scores, recomputed from scratch.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import deque
 from typing import Optional
@@ -25,7 +27,7 @@ from fdsearch import (
     LinearLeq,
     Model,
 )
-from fdsearch.domain import SHRUNK, WOULD_EMPTY
+from fdsearch.domain import SHRUNK, UNCHANGED, WOULD_EMPTY, ChangeOutcome
 from fdsearch.engine import DECISION, PropagationResult
 
 Domains = list[set[int]]
@@ -410,34 +412,55 @@ def linear_propagate(self, store: DomainStore) -> Optional[list[int]]:
     return changed
 
 
+def remove_values(store: DomainStore, x: int, values) -> ChangeOutcome:
+    """Removes ``values`` from the domain of x with ``remove_value``, one
+    value at a time in ascending order; WOULD_EMPTY, leaving the domain as
+    it was, when they are all of it."""
+    d = store.domains[x]
+    gone = [v for v in sorted(values) if v in d]
+    if not gone:
+        return UNCHANGED
+    if len(gone) == d.size:
+        return WOULD_EMPTY
+    for v in gone:
+        store.remove_value(x, v)
+    return SHRUNK
+
+
+def remove_from_free(store: DomainStore, xs, values, changed: list[int]) -> ChangeOutcome:
+    """``remove_values`` on each domain of ``xs`` that holds more than one
+    value, in order, appending each it shrinks to ``changed``; stops at the
+    first WOULD_EMPTY."""
+    out = UNCHANGED
+    for x in xs:
+        if store.domains[x].size > 1:
+            r = remove_values(store, x, values)
+            if r is WOULD_EMPTY:
+                return r
+            if r is SHRUNK:
+                changed.append(x)
+                out = SHRUNK
+    return out
+
+
 def alldifferent_propagate(self, store: DomainStore) -> Optional[list[int]]:
-    """Calls ``remove_bits`` on every unbound scope variable each pass."""
+    """Each pass removes every bound value from every unbound scope
+    variable, one value and one variable at a time."""
     domains = store.domains
     scope = self.scope
-    base = min(domains[x].anchor for x in scope)
     changed: list[int] = []
     while True:
-        seen = 0
+        seen: set[int] = set()
         for x in scope:
             d = domains[x]
             if d.size == 1:
-                bit = 1 << (d.min - base)
-                if seen & bit:
+                if d.min in seen:
                     return None
-                seen |= bit
-        progress = False
-        for x in scope:
-            d = domains[x]
-            if d.size > 1:
-                out = store.remove_bits(x, seen >> (d.anchor - base))
-                if out is WOULD_EMPTY:
-                    return None
-                if out is SHRUNK:
-                    changed.append(x)
-                    if d.size == 1:
-                        progress = True
-        if not progress:
-            break
+                seen.add(d.min)
+        if remove_from_free(store, scope, seen, changed) is WOULD_EMPTY:
+            return None
+        if sum(domains[x].size == 1 for x in scope) == len(seen):
+            break  # the pass bound no variable
     return changed
 
 
@@ -480,6 +503,29 @@ REFERENCES = {
 TWIN_REFERENCES = {
     **REFERENCES, "binary_knapsack_atmost": linear_propagate, "binary_less": linear_propagate,
 }
+
+
+def wdeg_ratios(model: Model, weights, xs, store: DomainStore) -> list[float]:
+    """|D(x)| over the summed weights of x's constraints with more than one
+    unbound variable, for each x in ``xs``; +inf when none qualifies."""
+    domains = store.domains
+    ratios = []
+    for x in xs:
+        wdeg = 0
+        for p in model.propagators:
+            if x in p.scope and sum(domains[y].size > 1 for y in p.scope) > 1:
+                wdeg += weights[p.pid]
+        ratios.append(domains[x].size / wdeg if wdeg else math.inf)
+    return ratios
+
+
+def ibs_variable_score(impact: dict, x: int, store: DomainStore) -> float:
+    """The sum of 1 - impact over the values of x, ascending; an unknown
+    impact counts 0."""
+    total = 0.0
+    for a in sorted(store.domains[x].values()):
+        total += 1.0 - impact.get((x, a), 0.0)
+    return total
 
 
 class _Reference:

@@ -6,10 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from fdsearch import ChangeOutcome, DomainStore, FiniteDomain
 from fdsearch.domain import FIXED, MAX_MOVED, MIN_MOVED, Trail
+from oracles import remove_from_free
 
 
 def store_of(*domains):
     return DomainStore([FiniteDomain.from_values(vals) for vals in domains])
+
+
+def shrink(s, op, x, arg, bits):
+    """One shrink operation on x: ``remove_bits`` over the scope ``[x]``
+    with ``bits`` anchored at x's anchor, the others with ``arg``."""
+    if op == "remove_bits":
+        return s.remove_bits([x], bits, s.domains[x].anchor, [])
+    return getattr(s, op)(x, arg)
 
 
 class TestFiniteDomain:
@@ -98,11 +107,29 @@ class TestTighten:
         assert s.tighten_max(0, 0) is ChangeOutcome.WOULD_EMPTY
 
     def test_remove_values_bulk(self):
-        s = store_of([1, 2, 3, 4])  # anchored at 1: bit i is value 1 + i
-        assert s.remove_bits(0, 0b1010 | 1 << 8) is ChangeOutcome.SHRUNK  # 2, 4, 9
-        assert tuple(s.domains[0].values()) == (1, 3)
-        assert s.remove_bits(0, 0b0101) is ChangeOutcome.WOULD_EMPTY  # 1, 3
-        assert tuple(s.domains[0].values()) == (1, 3)
+        s = store_of([1, 2, 3, 4])  # bit i is value 1 + i
+        changed = []
+        assert s.remove_bits([0], 0b1010 | 1 << 8, 1, changed) is ChangeOutcome.SHRUNK  # 2, 4, 9
+        assert tuple(s.domains[0].values()) == (1, 3) and changed == [0]
+        assert s.remove_bits([0], 0b0101, 1, changed) is ChangeOutcome.WOULD_EMPTY  # 1, 3
+        assert tuple(s.domains[0].values()) == (1, 3) and changed == [0]
+
+    def test_remove_bits_walks_the_scope_and_skips_bound_domains(self):
+        s = store_of([3], [2, 3, 4], [0, 3], [3, 5])  # bit i is value i
+        changed = [9]
+        assert s.remove_bits([3, 0, 1, 2], 1 << 3, 0, changed) is ChangeOutcome.SHRUNK
+        assert [tuple(d.values()) for d in s.domains] == [(3,), (2, 4), (0,), (5,)]
+        assert changed == [9, 3, 1, 2]
+        assert s.moved == bytearray([0, 0, MAX_MOVED | FIXED, MIN_MOVED | FIXED])
+        assert s.remove_bits([0, 2, 3], 1 << 3, 0, changed) is ChangeOutcome.UNCHANGED
+
+    def test_remove_bits_stops_at_a_wipeout_and_keeps_the_earlier_shrinks(self):
+        s = store_of([1, 2, 3], [1, 2], [1, 3])
+        s.trail.segment()
+        changed = []
+        assert s.remove_bits([0, 1, 2], 0b11, 1, changed) is ChangeOutcome.WOULD_EMPTY
+        assert [tuple(d.values()) for d in s.domains] == [(3,), (1, 2), (1, 3)]
+        assert changed == [0] and s.trail.entries == [(0, 0b111, 3, 1, 3)]
 
 
 class TestSearchSpaceLogSize:
@@ -238,7 +265,7 @@ class TestCachedFields:
                 if s.level:
                     s.restore_to(1 + arg % s.level)
             else:
-                getattr(s, op)(x % len(values), bits if op == "remove_bits" else arg)
+                shrink(s, op, x % len(values), arg, bits)
             for d in s.domains:
                 assert fields(d) == fields(FiniteDomain.from_mask(d.anchor, d.mask))
 
@@ -264,7 +291,7 @@ class TestBoundMovedMarks:
         before = bytearray(s.moved)
         d = s.domains[x]
         lo, hi = d.min, d.max
-        out = getattr(s, op)(x, bits if op == "remove_bits" else arg)
+        out = shrink(s, op, x, arg, bits)
         if out is ChangeOutcome.SHRUNK:
             before[x] |= (
                 (d.min != lo) * MIN_MOVED | (d.max != hi) * MAX_MOVED | (d.size == 1) * FIXED
@@ -274,9 +301,9 @@ class TestBoundMovedMarks:
     def test_interior_removals_leave_the_mark_clear(self):
         s = store_of([1, 2, 3, 4, 5])
         assert s.remove_value(0, 3) is ChangeOutcome.SHRUNK
-        assert s.remove_bits(0, 0b1010) is ChangeOutcome.SHRUNK  # 2 and 4
+        assert shrink(s, "remove_bits", 0, None, 0b1010) is ChangeOutcome.SHRUNK  # 2 and 4
         assert tuple(s.domains[0].values()) == (1, 5) and s.moved[0] == 0
-        assert s.remove_bits(0, 0b10001) is ChangeOutcome.WOULD_EMPTY
+        assert shrink(s, "remove_bits", 0, None, 0b10001) is ChangeOutcome.WOULD_EMPTY
         assert s.remove_value(0, 5) is ChangeOutcome.SHRUNK
         assert s.moved[0] == MAX_MOVED | FIXED
 
@@ -289,6 +316,46 @@ class TestBoundMovedMarks:
         assert s.moved == bytearray([MIN_MOVED, 0]) and s.states == {0: "state"}
         s.forget_states()
         assert s.moved == bytearray(2) and s.states == {}
+
+
+class TestScopeWideRemoval:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        values=st.lists(st.sets(st.integers(-4, 8), min_size=1, max_size=6), min_size=1, max_size=5),
+        order=st.permutations(range(5)),
+        scope_len=st.integers(0, 5),
+        earlier=st.lists(st.tuples(st.integers(0, 4), st.integers(-4, 8)), max_size=4),
+        marks=st.lists(st.integers(0, 7), min_size=5, max_size=5),
+        drop=st.sets(st.integers(-5, 9)),
+        below=st.integers(0, 2),
+    )
+    def test_matches_one_variable_at_a_time(self, values, order, scope_len, earlier, marks,
+                                            drop, below):
+        """``remove_bits`` over a scope against ``remove_value`` called for
+        one value and one variable at a time (``oracles.remove_from_free``),
+        after earlier removals in the same trail segment: the same outcome,
+        the same ``changed`` order, the same domain fields, trail entries
+        and marks, the wipeout case included."""
+        n = len(values)
+        xs = [x for x in order if x < n][:scope_len]
+        stores = [store_of(*values), store_of(*values)]
+        for s in stores:
+            s.moved[:] = bytes(marks[:n])
+            s.trail.segment()
+            for x, v in earlier:
+                s.remove_value(x % n, v)
+        ours, theirs = stores
+        base = min(d.anchor for d in ours.domains) - below
+        bits = sum(1 << (v - base) for v in drop if v >= base)
+        got, want = [-1], [-1]
+        out = ours.remove_bits(xs, bits, base, got)
+        assert out is remove_from_free(theirs, xs, drop, want)
+        assert got == want
+        assert [fields(d) + (d.mask,) for d in ours.domains] == [
+            fields(d) + (d.mask,) for d in theirs.domains
+        ]
+        assert ours.trail.entries == theirs.trail.entries
+        assert ours.moved == theirs.moved
 
 
 class TestTrailInternals:

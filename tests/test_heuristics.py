@@ -12,6 +12,7 @@ from fdsearch import (
     LinearEq,
     LinearLeq,
     Model,
+    ModelError,
     RestartPolicy,
     Status,
     build_magic_square,
@@ -25,7 +26,8 @@ from fdsearch.heuristics import (
     _argbest,
     t_critical,
 )
-from fdsearch.search import _Solver
+from fdsearch.search import _Solver, solve
+from oracles import ibs_variable_score, random_mixed_model, random_planted_sums, wdeg_ratios
 
 
 def make_solver(model, kind="abs", seed=0, probe_only=False, **cfg):
@@ -307,6 +309,82 @@ class TestWdeg:
             chosen = heur.select_variable(free, store)
             assert chosen in free
             assert heur._ratios((chosen,), store)[0] == best
+
+
+class TestScoreCaches:
+    """The IBS score cache and the wdeg running sums against their
+    first-written formulas, recomputed from scratch (``tests/oracles.py``)."""
+
+    def test_every_ibs_score_equals_a_fresh_recomputation(self, monkeypatch):
+        """A spy on ``variable_score`` over random solves, with restarts:
+        each result equals the sum recomputed from the impacts, and the
+        cache answers calls whose variable had an impact written since its
+        last miss."""
+        real = ImpactSearch.variable_score
+        calls = stale = 0
+
+        def spy(self, x, store):
+            nonlocal calls, stale
+            cached = self._scores[x]
+            if cached is not None and cached[0] == store.domains[x].mask:
+                stale += cached[1] != self.writes[x]
+            got = real(self, x, store)
+            assert got == ibs_variable_score(self.impact, x, store)
+            calls += 1
+            return got
+
+        monkeypatch.setattr(ImpactSearch, "variable_score", spy)
+        for seed in range(40):
+            rng = random.Random(seed)
+            m = (random_mixed_model if seed % 2 else random_planted_sums)(rng)
+            try:
+                m.audit()
+            except ModelError:
+                continue  # a knapsack over a domain other than 0/1
+            solve(m, "ibs", restart=RestartPolicy.geometric(1.5, 2), seed=seed, max_failures=60)
+        for seed in range(3):
+            solve(build_magic_square(5), "ibs", restart=RestartPolicy.geometric(1.1, 5),
+                  seed=seed, max_failures=60)
+        assert calls > 5000 and stale > 40
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        ops=st.lists(
+            st.tuples(st.sampled_from(("fail", "decide", "decide", "restore")),
+                      st.integers(0, 10**6), st.integers(0, 10**6)),
+            max_size=25,
+        ),
+    )
+    def test_wdeg_ratios_match_the_first_written_formula(self, seed, ops):
+        """After each of random constraint failures, decisions and restores
+        on a random model, ``_ratios`` of the unbound variables equals the
+        formula summed from scratch, from the first select on."""
+        rng = random.Random(seed)
+        m = (random_mixed_model if seed % 2 else random_planted_sums)(rng)
+        heur = WeightedDegreeSearch(m, HeuristicConfig(kind="wdeg"), rng)
+        engine = Engine(m.num_vars, m.propagators)
+        store = m.new_store()
+        if not engine.propagate(store).ok:
+            return
+        for op, i, j in ops:
+            free = [x for x, d in enumerate(store.domains) if d.size > 1]
+            assert heur._ratios(free, store) == wdeg_ratios(m, heur.weights, free, store)
+            if op == "fail" and m.propagators:
+                heur.on_search_fixpoint("eq", 0, 0, PropagationResult(i % len(m.propagators), []),
+                                        store)
+            elif op == "restore" and store.level:
+                store.restore_to(1 + i % store.level)
+            elif op == "decide" and free:
+                x = free[i % len(free)]
+                values = list(store.domains[x].values())
+                store.push_level()
+                res = engine.propagate(store, ("eq", x, values[j % len(values)]))
+                heur.on_search_fixpoint("eq", x, values[j % len(values)], res, store)
+                if not res.ok:
+                    store.restore_to(store.level)
+        free = [x for x, d in enumerate(store.domains) if d.size > 1]
+        assert heur._ratios(free, store) == wdeg_ratios(m, heur.weights, free, store)
 
 
 class TestActivityFormulas:

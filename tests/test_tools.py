@@ -2,7 +2,8 @@
 ``tools/surface.py``'s counts on a tiny package, ``tools/linehits.py``'s
 collection and report on a tiny module, ``tools/tree_digest.py`` on the
 package and on a copy that branches differently, ``tools/opcount.py``'s
-counts on one small solve, and a check for unused imports."""
+counts on one small solve, ``tools/ab.py`` on a copy whose trees differ
+from their pins, and a check for unused imports."""
 
 import ast
 import importlib.util
@@ -215,6 +216,26 @@ def test_tree_digest_tells_a_changed_tree(tmp_path):
     done = run_tree_digest(str(tmp_path), "--check")
     assert done.returncode == 1
     assert done.stdout.count("differs: ") == 3
+
+
+def test_ab_exits_one_on_a_tree_that_differs_from_its_pin(tmp_path):
+    """The repository's package against a copy whose default value choice
+    is the largest value: the copy's first wdeg solve leaves its pinned
+    tree, and the run stops there with exit 1."""
+    shutil.copytree(ROOT / "src" / "fdsearch", tmp_path / "fdsearch",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "fdsearch" / "heuristics.py"
+    source = path.read_text()
+    assert source.count("return store.domains[x].min") == 1
+    path.write_text(source.replace("return store.domains[x].min", "return store.domains[x].max"))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT / "src"), str(tmp_path),
+         "--workload", "knap-csp", "--passes", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 1
+    assert f"{tmp_path} wdeg:" in done.stderr and "!= pinned" in done.stderr
+    assert done.stdout == ""
 
 
 def test_opcount_gives_the_same_counts_twice():
