@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Union
 
 from .engine import Engine, PropagationResult
 from .heuristics import HEURISTICS, ActivitySearch, HeuristicConfig
-from .model import Model
+from .model import Model, ModelError
 from .propagators import ObjectiveBound
 
 
@@ -207,6 +207,17 @@ class _Solver:
             return self._finish(self._dfs())
         except _Timeout:
             return self._finish(Status.TIMED_OUT)
+        except ValueError:
+            # store.assignment() at a leaf (every branch variable fixed)
+            # found another variable unbound; caught here, not in
+            # _record_solution, so that no leaf pays for a try block
+            unbound = [x for x, d in enumerate(self.store.domains) if d.size != 1]
+            if not unbound or self.free_vars():
+                raise
+            raise ModelError(
+                f"variable {unbound[0]} ({self.model.var_names[unbound[0]]}) is unbound at a "
+                "leaf: propagation must fix every variable that is not a branch variable"
+            ) from None
 
     def _finish(self, status: Status) -> SearchStats:
         self.stats.status = status

@@ -15,27 +15,20 @@ import pytest
 import fdsearch
 import fdsearch.bench
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-sys.path.insert(0, str(PERFBENCH))
-from workloads import WORKLOADS, load_pins, pinned_trees, tree_of  # noqa: E402
-
-PINS = load_pins()
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from revs import PinnedPool  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402  on the path that revs puts perfbench on
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_pinned_trees_reproduce(name):
     w = WORKLOADS[name]
-    pins = pinned_trees(w, PINS)
-    assert len(pins) == len(w.heuristics) * w.pool, "every pool entry is pinned"
-    model = fdsearch.bench.build_benchmark(w.selector)
-    restart = fdsearch.bench.parse_restart(w.restart)
+    pool = PinnedPool(fdsearch, w)
+    assert len(pool.pins) == len(w.heuristics) * w.pool, "every pool entry is pinned"
     drifted = []
-    for key, pinned in pins.items():
+    for key in pool.pins:
         heuristic, seed = key.split(":")
-        stats = fdsearch.solve(
-            model, heuristic, restart=restart, seed=int(seed), max_failures=w.cap
-        )
-        tree = tree_of(stats)
-        if tree != pinned:
-            drifted.append(f"{key}: {tree} != pinned {pinned}")
+        _, drift = pool.solve(heuristic, int(seed))
+        if drift:
+            drifted.append(drift)
     assert not drifted, "\n".join(drifted)

@@ -18,6 +18,7 @@ from fdsearch import (
     LinearLeq,
     Model,
     ModelError,
+    Propagator,
     RestartPolicy,
     Status,
     build_knapsack_cop,
@@ -156,6 +157,41 @@ class TestSolveBasics:
         m.set_branch_vars(xs[::-1])
         assert m.branch_vars == xs[::-1]
         assert solve(m, "ibs", seed=0).probes == 16
+
+    @pytest.mark.parametrize("objective", (False, True))
+    @pytest.mark.parametrize("heuristic", HEURISTICS)
+    def test_a_leaf_with_an_unbound_auxiliary_is_a_model_error(self, heuristic, objective):
+        """Branch variables ``[x]`` and no propagator to fix ``y``: the first
+        leaf (a probe's under abs) breaks the branch-variable contract."""
+        m = Model()
+        x = m.add_var(0, 2, "x")
+        y = m.add_var(0, 2, "y")
+        m.set_branch_vars([x])
+        if objective:
+            m.maximize(y)
+        with pytest.raises(ModelError, match=r"variable 1 \(y\) is unbound at a leaf: "
+                           "propagation must fix every variable that is not a branch variable"):
+            solve(m, heuristic, seed=0)
+
+    def test_a_value_error_off_a_leaf_passes_unchanged(self):
+        """A filter of the user's own that raises at the first decision,
+        while a branch variable is still free: not the leaf contract."""
+
+        class Raising(Propagator):
+            kind = "raising"
+
+            def propagate(self, store, advice):
+                if store.domains[self.scope[0]].size == 1:
+                    raise ValueError("boom")
+                return []
+
+        m = Model()
+        x = m.add_var(0, 2, "x")
+        m.add_var(0, 2, "y")
+        m.post(Raising([x]))
+        with pytest.raises(ValueError, match="boom") as raised:
+            solve(m, "wdeg", seed=0)
+        assert type(raised.value) is ValueError
 
 
 class TestBranchAndBound:

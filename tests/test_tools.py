@@ -3,7 +3,8 @@
 collection and report on a tiny module, ``tools/tree_digest.py`` on the
 package and on a copy that branches differently, ``tools/opcount.py``'s
 counts on one small solve, ``tools/ab.py`` on a copy whose trees differ
-from their pins, and a check for unused imports."""
+from their pins, ``tools/revs.py``'s loader and the REV usage errors of
+every tool that takes one, and a check for unused imports."""
 
 import ast
 import importlib.util
@@ -17,18 +18,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-trace_diff = load_tool("trace_diff")
-linehits = load_tool("linehits")
-opcount = load_tool("opcount")
+sys.path.insert(0, str(ROOT / "tools"))
+import linehits  # noqa: E402
+import opcount  # noqa: E402
+import revs  # noqa: E402
+import trace_diff  # noqa: E402
 
 
 def result(metrics):
@@ -204,38 +198,76 @@ def test_tree_digest_matches_the_committed_digests():
     assert "differs" not in done.stdout
 
 
-def test_tree_digest_tells_a_changed_tree(tmp_path):
-    """A copy whose default value choice is the largest value, not the
-    least, explores other trees: every digest differs."""
+@pytest.fixture
+def largest_value_copy(tmp_path):
+    """A directory holding a copy of the package whose default value
+    choice is the largest value, not the least."""
     shutil.copytree(ROOT / "src" / "fdsearch", tmp_path / "fdsearch",
                     ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "fdsearch" / "heuristics.py"
     source = path.read_text()
     assert source.count("return store.domains[x].min") == 1
     path.write_text(source.replace("return store.domains[x].min", "return store.domains[x].max"))
-    done = run_tree_digest(str(tmp_path), "--check")
+    return tmp_path
+
+
+def test_tree_digest_tells_a_changed_tree(largest_value_copy):
+    """The copy explores other trees: every digest differs."""
+    done = run_tree_digest(str(largest_value_copy), "--check")
     assert done.returncode == 1
     assert done.stdout.count("differs: ") == 3
 
 
-def test_ab_exits_one_on_a_tree_that_differs_from_its_pin(tmp_path):
-    """The repository's package against a copy whose default value choice
-    is the largest value: the copy's first wdeg solve leaves its pinned
-    tree, and the run stops there with exit 1."""
-    shutil.copytree(ROOT / "src" / "fdsearch", tmp_path / "fdsearch",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    path = tmp_path / "fdsearch" / "heuristics.py"
-    source = path.read_text()
-    assert source.count("return store.domains[x].min") == 1
-    path.write_text(source.replace("return store.domains[x].min", "return store.domains[x].max"))
+def test_ab_exits_one_on_a_tree_that_differs_from_its_pin(largest_value_copy):
+    """The repository's package against the copy: the copy's first wdeg
+    solve leaves its pinned tree, and the run stops there with exit 1."""
     done = subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT / "src"), str(tmp_path),
-         "--workload", "knap-csp", "--passes", "1"],
+        [sys.executable, str(ROOT / "tools" / "ab.py"), str(ROOT / "src"),
+         str(largest_value_copy), "--workload", "knap-csp", "--passes", "1"],
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 1
-    assert f"{tmp_path} wdeg:" in done.stderr and "!= pinned" in done.stderr
+    assert f"{largest_value_copy} wdeg:" in done.stderr and "!= pinned" in done.stderr
     assert done.stdout == ""
+
+
+def test_load_imports_a_git_revision_under_its_own_name(tmp_path):
+    package = revs.load(revs.source("HEAD", tmp_path), "rev_head")
+    assert package.__name__ == "rev_head" and sys.modules["rev_head"] is package
+    assert Path(package.__file__).parent == (tmp_path / "src" / "fdsearch").resolve()
+    assert callable(package.solve) and callable(package.bench.build_benchmark)
+
+
+REV_TOOLS = {
+    "ab.py A": ["ab.py", "{rev}", "HEAD", "--workload", "knap-csp"],
+    "ab.py B": ["ab.py", "HEAD", "{rev}", "--workload", "knap-csp"],
+    "opcount.py": ["opcount.py", "--workload", "knap-csp", "{rev}"],
+    "tree_digest.py": ["tree_digest.py", "{rev}"],
+    "surface.py": ["surface.py", "{rev}"],
+}
+
+
+@pytest.mark.parametrize("tool, rev", [
+    (tool, rev) for tool in REV_TOOLS for rev in ("nosuchrev", "missing", "empty")
+    if (tool, rev) != ("surface.py", "empty")  # it measures a directory of any packages
+])
+def test_an_unknown_rev_is_a_usage_error(tmp_path, tool, rev):
+    """A REV that is neither a directory nor a git revision, or a directory
+    without the package, exits 2 with one line that names it, before any
+    solve."""
+    if rev != "nosuchrev":
+        rev = str(tmp_path / rev)
+    if rev.endswith("empty"):
+        Path(rev).mkdir()
+    script, *args = REV_TOOLS[tool]
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / script), *(a.format(rev=rev) for a in args)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    err = done.stderr.strip()
+    assert len(err.splitlines()) == 1 and rev in err
 
 
 def test_opcount_gives_the_same_counts_twice():

@@ -4,11 +4,10 @@
     python3 tools/ab.py REV_A REV_B --workload msq [--passes 6]
     python3 tools/ab.py HEAD HEAD --workload knap-csp --passes 1   # A/A smoke run
 
-Each of REV_A and REV_B is a git revision, whose ``src/fdsearch`` is taken
-with ``git archive`` (no checkout, no change to ``.git``), or a directory
-holding an ``fdsearch`` package.  Both are imported into this interpreter
-as packages of their own, with a third copy of REV_A as an A/A control,
-and each builds the workload's model with its own builders.
+REV_A and REV_B are REVs as ``tools/revs.py`` defines them.  Both are
+imported into this interpreter as packages of their own, and REV_A once
+more as an A/A control; each builds the workload's model with its own
+builders.
 
 A pass runs every pool solve of the ``perfbench`` workload (all solve
 seeds of every heuristic) as two jobs, the pair (A, B) and the control
@@ -30,72 +29,16 @@ from __future__ import annotations
 
 import argparse
 import gc
-import importlib
-import importlib.util
-import io
 import json
 import random
-import shutil
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from workloads import WORKLOADS, load_pins, pinned_trees, tree_of  # noqa: E402
-
-
-def extract(rev: str, into: Path) -> None:
-    """The ``fdsearch`` package of ``rev`` (a directory or a git revision)
-    copied to the new directory ``into``."""
-    if Path(rev).is_dir():
-        shutil.copytree(Path(rev) / "fdsearch", into,
-                        ignore=shutil.ignore_patterns("__pycache__"))
-        return
-    tar = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/fdsearch"],
-        capture_output=True, check=True,
-    ).stdout
-    unpacked = into.parent / f"{into.name}_archive"
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
-        if hasattr(tarfile, "data_filter"):
-            archive.extractall(unpacked, filter="data")
-        else:
-            archive.extractall(unpacked)
-    (unpacked / "src" / "fdsearch").rename(into)
-
-
-def load(package_dir: Path):
-    """Import ``package_dir`` as a package named after the directory."""
-    name = package_dir.name
-    spec = importlib.util.spec_from_file_location(
-        name, package_dir / "__init__.py", submodule_search_locations=[str(package_dir)]
-    )
-    package = importlib.util.module_from_spec(spec)
-    sys.modules[name] = package
-    spec.loader.exec_module(package)
-    importlib.import_module(f"{name}.bench")
-    return package
-
-
-class Side:
-    """One imported revision with its model of the workload."""
-
-    def __init__(self, fd, w):
-        self.fd = fd
-        self.model = fd.bench.build_benchmark(w.selector)
-        self.restart = fd.bench.parse_restart(w.restart)
-
-    def time_solve(self, w, heuristic: str, seed: int):
-        gc.collect()
-        t0 = time.perf_counter()
-        stats = self.fd.solve(self.model, heuristic, restart=self.restart, seed=seed,
-                              max_failures=w.cap)
-        return time.perf_counter() - t0, tree_of(stats)
+from revs import PinnedPool, load, source
+from workloads import WORKLOADS  # on the path that revs puts perfbench on
 
 
 def summary(times_a: list[dict], times_b: list[dict]) -> dict:
@@ -126,15 +69,11 @@ def main(argv=None) -> int:
     if args.passes < 1:
         parser.error("--passes must be at least 1")
     w = WORKLOADS[args.workload]
-    pins = pinned_trees(w, load_pins())
     solves = [(h, s) for h in w.heuristics for s in range(w.pool)]
     with tempfile.TemporaryDirectory() as tmp:
         revs = {"a": args.rev_a, "b": args.rev_b, "c": args.rev_a}
-        sides = {}
-        for key, rev in revs.items():
-            package_dir = Path(tmp) / f"ab_{key}"
-            extract(rev, package_dir)
-            sides[key] = Side(load(package_dir), w)
+        sides = {key: PinnedPool(load(source(rev, Path(tmp) / key), f"ab_{key}"), w)
+                 for key, rev in revs.items()}
         rng = random.Random(0)
         times = {pair: ([], []) for pair in ("ab", "ac")}  # per pair: per pass, per side
         for _ in range(args.passes):
@@ -146,13 +85,13 @@ def main(argv=None) -> int:
             for j, (pair, spec) in enumerate(jobs):
                 order = (0, 1) if j % 2 == 0 else (1, 0)
                 for i in order:
-                    seconds, tree = sides[pair[i]].time_solve(w, *spec)
-                    pinned = pins.get("%s:%d" % spec)
-                    if pinned is not None and tree != pinned:
-                        print(f"{revs[pair[i]]} {spec[0]}:{spec[1]}: tree {tree} != pinned {pinned}",
-                              file=sys.stderr)
+                    gc.collect()
+                    t0 = time.perf_counter()
+                    _, drift = sides[pair[i]].solve(*spec)
+                    times[pair][i][-1][spec] = time.perf_counter() - t0
+                    if drift:
+                        print(f"{revs[pair[i]]} {drift}", file=sys.stderr)
                         return 1
-                    times[pair][i][-1][spec] = seconds
     result = {
         "workload": w.name, "rev_a": args.rev_a, "rev_b": args.rev_b,
         "solves_per_pass": len(solves), "python": "%d.%d" % sys.version_info[:2],

@@ -25,7 +25,8 @@ from pathlib import Path
 from types import CodeType
 from typing import Iterable, TextIO
 
-ROOT = Path(__file__).resolve().parent.parent
+from revs import ROOT, load
+
 PACKAGE = ROOT / "src" / "fdsearch"
 PYTEST_ARGS = [
     "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
@@ -114,10 +115,10 @@ def main() -> int:
         print("fdsearch was imported before the tracer", file=sys.stderr)
         return 1
     os.chdir(ROOT)
-    sys.path.insert(0, str(ROOT / "src"))
     import pytest
 
     with LineTracer(sorted(PACKAGE.glob("*.py"))) as tracer:
+        load(ROOT / "src")  # as fdsearch, the name the tests import
         code = pytest.main(PYTEST_ARGS)
     module = sys.modules.get("fdsearch")
     if module is None or Path(module.__file__).resolve().parent != PACKAGE:

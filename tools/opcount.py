@@ -2,13 +2,14 @@
 """Count the bytecode instructions the solver executes on a benchmark workload.
 
     python3 tools/opcount.py --workload knap-csp            # the repository's src/
-    python3 tools/opcount.py --workload msq --solves 2 SRC_DIR
+    python3 tools/opcount.py --workload msq --solves 2 REV
 
 Runs the first K pool solves (solve seeds 0 to K-1) of each heuristic of
 a ``perfbench`` workload, with the workload's model, restart policy and
 failure cap, under a ``sys.settrace`` tracer that counts every opcode
 executed in a function of the ``fdsearch`` package, per qualified
-function name.  Each tree is checked against ``perfbench/pins.json``.
+function name.  REV is as ``tools/revs.py`` defines it.  Each tree is
+checked against ``perfbench/pins.json``.
 
 The counts do not depend on the host or its load: two runs of the same
 code give the same numbers, which makes them a noise-free companion to the
@@ -29,22 +30,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load(src: Path):
-    """Import fdsearch from ``src`` and the workloads of ``perfbench/``."""
-    sys.path[:0] = [str(src), str(ROOT / "perfbench")]
-    import fdsearch
-    import fdsearch.bench
-    import workloads
-
-    if Path(fdsearch.__file__).resolve().parent != (src / "fdsearch").resolve():
-        raise SystemExit(f"imported fdsearch from {fdsearch.__file__}, not from {src}")
-    return fdsearch, workloads
+from revs import ROOT, PinnedPool, load, source
+from workloads import WORKLOADS  # on the path that revs puts perfbench on
 
 
 def count_opcodes(package_dir: Path, run) -> Counter:
@@ -80,29 +71,25 @@ def count_opcodes(package_dir: Path, run) -> Counter:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("src", nargs="?", default=str(ROOT / "src"))
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--solves", type=int, default=1, help="pool solves per heuristic")
     args = parser.parse_args(argv)
-    fd, workloads = load(Path(args.src))
-    if args.workload not in workloads.WORKLOADS:
-        parser.error(f"--workload must be one of {', '.join(sorted(workloads.WORKLOADS))}")
-    w = workloads.WORKLOADS[args.workload]
+    w = WORKLOADS[args.workload]
     if not 1 <= args.solves <= w.pool:
         parser.error(f"--solves must be between 1 and {w.pool}")
-    model = fd.bench.build_benchmark(w.selector)
-    restart = fd.bench.parse_restart(w.restart)
-    pins = workloads.pinned_trees(w, workloads.load_pins())
-    problems = []
+    with tempfile.TemporaryDirectory() as tmp:
+        fd = load(source(args.src, Path(tmp)))
+        pool = PinnedPool(fd, w)
+        problems = []
 
-    def run():
-        for h in w.heuristics:
-            for seed in range(args.solves):
-                stats = fd.solve(model, h, restart=restart, seed=seed, max_failures=w.cap)
-                tree, pinned = workloads.tree_of(stats), pins.get(f"{h}:{seed}")
-                if pinned is not None and tree != pinned:
-                    problems.append(f"{h}:{seed}: tree {tree} != pinned {pinned}")
+        def run():
+            for h in w.heuristics:
+                for seed in range(args.solves):
+                    _, drift = pool.solve(h, seed)
+                    if drift:
+                        problems.append(drift)
 
-    counts = count_opcodes(Path(fd.__file__).parent, run)
+        counts = count_opcodes(Path(fd.__file__).parent, run)
     metrics = {"opcodes.total": sum(counts.values())}
     for name, n in counts.items():
         layer = f"opcodes.{name.split('.', 1)[0]}"

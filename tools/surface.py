@@ -2,29 +2,31 @@
 """Print the size of a source tree's public surface.
 
     python3 tools/surface.py            # the repository's src/
-    python3 tools/surface.py SRC_DIR
+    python3 tools/surface.py REV
 
+REV is as ``tools/revs.py`` defines it, but a directory may hold any packages.
 Prints three ``name value`` lines:
 
-- ``lines``: every line of every ``*.py`` file under SRC_DIR;
+- ``lines``: every line of every ``*.py`` file under the REV's source;
 - ``code``: the lines that hold a token other than a comment, a blank
   line or a docstring.  A docstring is a string literal that is a whole
   statement; a line that only continues a multi-line statement, such as a
   closing bracket, counts as code;
-- ``exports``: for each package directly under SRC_DIR (a directory with
-  an ``__init__.py``), the length of its ``__all__`` after importing it,
-  as ``exports <package> <count>``.
+- ``exports``: for each package directly under it (a directory with an
+  ``__init__.py``), the length of its ``__all__`` after importing it, as
+  ``exports <package> <count>``.
 """
 
 from __future__ import annotations
 
-import importlib
 import io
 import sys
+import tempfile
 import tokenize
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from revs import ROOT, load, source
+
 _STATEMENT_START = {tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
 _SKIP = _STATEMENT_START | {tokenize.ENDMARKER}
 
@@ -54,10 +56,9 @@ def measure(src: Path) -> tuple[int, int, dict[str, int]]:
         lines += len(text.splitlines())
         code += code_lines(text)
     exports = {}
-    sys.path.insert(0, str(src))
     for init in sorted(src.glob("*/__init__.py")):
         name = init.parent.name
-        exports[name] = len(importlib.import_module(name).__all__)
+        exports[name] = len(load(src, name, name).__all__)
     return lines, code, exports
 
 
@@ -65,11 +66,8 @@ def main(argv: list[str]) -> int:
     if len(argv) > 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    src = Path(argv[0]) if argv else ROOT / "src"
-    if not src.is_dir():
-        print(f"no directory {src}", file=sys.stderr)
-        return 2
-    lines, code, exports = measure(src)
+    with tempfile.TemporaryDirectory() as tmp:
+        lines, code, exports = measure(source(argv[0] if argv else str(ROOT / "src"), Path(tmp)))
     print(f"lines {lines}")
     print(f"code {code}")
     for name, count in exports.items():

@@ -2,8 +2,10 @@
 """Digest the search trees a source tree's solver explores on random models.
 
     python3 tools/tree_digest.py            # the repository's src/
-    python3 tools/tree_digest.py SRC_DIR
+    python3 tools/tree_digest.py REV
     python3 tools/tree_digest.py --check    # exit 1 unless equal to DIGESTS
+
+REV is as ``tools/revs.py`` defines it.
 
 Seed ``i`` (0 to 299) draws one model from ``random.Random(i)`` with the
 generator ``i % 3`` of ``GENERATORS``, taken from ``tests/oracles.py``.
@@ -26,9 +28,11 @@ import argparse
 import hashlib
 import random
 import sys
+import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from revs import ROOT, load, source
+
 GENERATORS = ("random_csp", "random_mixed_model", "random_planted_sums")
 KINDS = ("abs", "ibs", "wdeg")
 MODELS = 300
@@ -38,18 +42,6 @@ DIGESTS = {
     "random_mixed_model": "f487c123cbbd8b3d",
     "random_planted_sums": "c7943e6b37d2981d",
 }
-
-
-def load(src: Path):
-    """Import fdsearch from ``src`` and the model generators of
-    ``tests/oracles.py``, which import that fdsearch."""
-    sys.path[:0] = [str(src), str(ROOT / "tests")]
-    import fdsearch
-    import oracles
-
-    if Path(fdsearch.__file__).resolve().parent != (src / "fdsearch").resolve():
-        raise SystemExit(f"imported fdsearch from {fdsearch.__file__}, not from {src}")
-    return fdsearch, oracles
 
 
 def digests(fd, oracles) -> dict[str, tuple[str, int, int]]:
@@ -94,7 +86,12 @@ def main(argv=None) -> int:
     parser.add_argument("src", nargs="?", default=str(ROOT / "src"))
     parser.add_argument("--check", action="store_true", help="compare with DIGESTS")
     args = parser.parse_args(argv)
-    got = digests(*load(Path(args.src)))
+    with tempfile.TemporaryDirectory() as tmp:
+        fd = load(source(args.src, Path(tmp)))  # as fdsearch, the name oracles imports
+        sys.path.insert(0, str(ROOT / "tests"))
+        import oracles
+
+        got = digests(fd, oracles)
     for name, (digest, solved, skipped) in got.items():
         print(f"{name} {digest} solved={solved} skipped={skipped}")
     if not args.check:
