@@ -2,13 +2,13 @@
 
 A domain is an anchored bitmask: bit ``i`` of ``mask`` set means the value
 ``anchor + i`` is present, with the cached ``size``, ``min`` and ``max``.
-A trail entry saves all four fields before a shrink (Python ints are
-immutable, so that is four references); restoring a level reinstalls the
-saved fields in reverse order, which makes restoration exact by
-construction and recomputes nothing.  The store keeps the one stack of
-levels (each level's trail start and a copy of the propagator states),
-the states themselves, and a mark per variable of the events (min moved,
-max moved, fixed) since its watchers were last advised.
+Each shrink logs one trail entry of all four fields before it (Python
+ints are immutable, so that is four references); restoring a level
+reinstalls the saved fields in reverse order, which makes restoration
+exact by construction and recomputes nothing.  The store keeps the one
+stack of levels (each level's trail start and a copy of the propagator
+states), the states themselves, and a mark per variable of the events
+(min moved, max moved, fixed) since its watchers were last advised.
 """
 
 from __future__ import annotations
@@ -98,39 +98,24 @@ class FiniteDomain:
 
 class Trail:
     """Chronological undo log of ``(var, mask, size, min, max)`` entries,
-    each the fields of the variable's domain before a shrink.
-
-    The log is cut into segments: a new one starts at each ``segment`` and
-    each ``pop_to`` call.  A variable is logged at most once per segment,
-    when it first shrinks there, so the entries of a segment list exactly
-    the variables it shrank.  A store level may span several segments and
-    hold several entries for one variable; replaying them in reverse
-    reinstalls the oldest fields last.
+    one per shrink, each the fields of the variable's domain before it.
+    A variable shrunk twice since a point is logged twice; replaying the
+    entries in reverse reinstalls the oldest fields last.
     """
 
-    __slots__ = ("entries", "_epoch", "_stamps")
+    __slots__ = ("entries",)
 
-    def __init__(self, nvars: int):
+    def __init__(self):
         self.entries: list[tuple[int, int, int, int, int]] = []
-        self._epoch = 0
-        self._stamps = [-1] * nvars
 
     def record(self, x: int, d: FiniteDomain) -> None:
-        if self._stamps[x] != self._epoch:
-            self._stamps[x] = self._epoch
-            self.entries.append((x, d.mask, d.size, d.min, d.max))
-
-    def segment(self) -> int:
-        """Start a new segment; returns the index of its first entry."""
-        self._epoch += 1
-        return len(self.entries)
+        self.entries.append((x, d.mask, d.size, d.min, d.max))
 
     def pop_to(self, start: int) -> list[tuple[int, int, int, int, int]]:
-        """Cut the log at index ``start``, start a new segment and return
-        the cut entries (in the order they were logged)."""
+        """Cut the log at index ``start`` and return the cut entries (in
+        the order they were logged)."""
         undo = self.entries[start:]
         del self.entries[start:]
-        self.segment()
         return undo
 
 
@@ -160,7 +145,7 @@ class DomainStore:
 
     def __init__(self, domains: Sequence[FiniteDomain]):
         self.domains: list[FiniteDomain] = list(domains)
-        self.trail = Trail(len(self.domains))
+        self.trail = Trail()
         self.states: dict[int, object] = {}
         self.moved = bytearray(len(self.domains))
         self._levels: list[tuple[int, dict[int, object]]] = []  # (trail start, states)
@@ -171,7 +156,7 @@ class DomainStore:
         return len(self._levels)
 
     def push_level(self) -> int:
-        self._levels.append((self.trail.segment(), self.states.copy()))
+        self._levels.append((len(self.trail.entries), self.states.copy()))
         return len(self._levels)
 
     def restore_to(self, k: int) -> None:
@@ -229,14 +214,12 @@ class DomainStore:
         every anchor must be at least ``base``.  Returns SHRUNK if one
         shrank, else UNCHANGED, or WOULD_EMPTY at the first domain it would
         empty, which it leaves as it was: the domains shrunk before it stay
-        shrunk and trailed, as the same ops on one variable at a time would
-        leave them."""
+        shrunk and trailed, one entry each.  The same ops on one variable
+        and one value at a time leave the same domains, marks and
+        ``changed``, with one entry per removed value."""
         domains = self.domains
         moved = self.moved
-        trail = self.trail
-        stamps = trail._stamps
-        epoch = trail._epoch
-        log = trail.entries.append
+        log = self.trail.entries.append
         count = len(changed)
         for x in xs:
             d = domains[x]
@@ -249,9 +232,7 @@ class DomainStore:
                 continue
             if gone == mask:
                 return WOULD_EMPTY
-            if stamps[x] != epoch:  # Trail.record, inlined
-                stamps[x] = epoch
-                log((x, mask, size, d.min, d.max))
+            log((x, mask, size, d.min, d.max))
             d.mask = new = mask ^ gone
             d.size = size = size - gone.bit_count()
             events = 0

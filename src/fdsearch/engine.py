@@ -2,7 +2,7 @@
 of a changed variable scheduled, advice only of the events (min moved, max
 moved, fixed; ``store.moved``) a watcher's filter reads, no call to a
 propagator popped with a saved state and no advice, exact affected-variable
-reporting read from the trail segment each call opens.  The rows (the
+reporting read from the trail entries each call logs.  The rows (the
 knapsack and ``x < y`` among them) and ``AllDifferent`` keep a state,
 ``ObjectiveBound`` none.  States are never trailed: a failure drops them
 all, and the store's per-level copies bring them back on a restore."""
@@ -10,6 +10,7 @@ all, and the store's per-level copies bring them back on a restore."""
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .domain import DomainStore, SHRUNK, WOULD_EMPTY
@@ -18,6 +19,8 @@ from .propagators import Propagator
 # Pseudo propagator id reported when posting a decision itself wipes a domain
 # (cannot happen for decisions drawn from current domains, but kept for safety).
 DECISION = -1
+
+_VAR_OF = itemgetter(0)  # the variable of a trail entry
 
 
 class PropagationResult:
@@ -106,8 +109,8 @@ class Engine:
         Each next call rescans, unless a ``restore_to`` brings back an older
         set of states first.
         """
-        trail = store.trail
-        start = trail.segment()
+        entries = store.trail.entries
+        start = len(entries)
         props = self.propagators
         watchers = self.watchers
         advice = self.advice
@@ -158,10 +161,10 @@ class Engine:
                 if adv or pid not in states:
                     break
             else:
-                return PropagationResult(None, [e[0] for e in trail.entries[start:]])
+                return PropagationResult(None, list(dict.fromkeys(map(_VAR_OF, entries[start:]))))
             changed = props[pid].propagate(store, adv)
             if changed is None:
                 for q in (pid, *queue):
                     advice[q].clear()
                 store.forget_states()
-                return PropagationResult(pid, [e[0] for e in trail.entries[start:]])
+                return PropagationResult(pid, list(dict.fromkeys(map(_VAR_OF, entries[start:]))))

@@ -224,8 +224,6 @@ class ImpactSearch(SearchHeuristic):
         log_root = store.search_space_log_size()
         for x in self.model.branch_vars:
             d = store.domains[x]
-            if d.size <= 1:
-                continue
             for a in list(d.values()):
                 if d.size <= 1:
                     break

@@ -19,8 +19,7 @@ ignores the advice.  The first two keep a summary of their scope in
 advised variables alone; with no state yet they scan the scope and build
 one.  A state is replaced by assignment, never mutated in place, because
 the store's per-level copies share it.  A stored state is at its own
-fixpoint, so a row returns ``[]`` at once when the advice moved nothing it
-prunes by, and the engine does not call a propagator with a state and no
+fixpoint, so the engine does not call a propagator with a state and no
 advice.  That is exact because every propagator that keeps a state
 filters on the events it reads only, which the other events leave as they
 were.  A direct call, as from a test, reads and writes ``store.states`` as
@@ -116,8 +115,10 @@ class _Linear(Propagator):
         first.  Spans only shrink, so a pass walks ``heavy`` only down to
         the first span at most the smaller slack, and visits, in scope
         order, the terms met on the way whose span, read from the domain,
-        exceeds it.  A stored state is at its own fixpoint, so a call whose
-        advice moved no term bound the state keeps returns ``[]`` at once.
+        exceeds it.  With a state, the call folds each advised term's bounds
+        into copies of the state's lists (a repeat in the advice adds 0);
+        the engine advises a row only of bound events it reads, so each
+        advised term has moved.
         """
         domains = store.domains
         cs = self.coeffs
@@ -148,7 +149,9 @@ class _Linear(Propagator):
                 lo, hi, term_lo, term_hi, heavy = state
             else:
                 lo, term_lo, heavy = state
-            moved = False  # the lists are still the state's until a bound moves
+            term_lo = term_lo[:]  # the stored state shares the old lists
+            if is_eq:
+                term_hi = term_hi[:]
             pos = self._pos
             for x in advice:
                 i = pos[x]
@@ -159,24 +162,12 @@ class _Linear(Propagator):
                         tlo, thi = c * d.min, c * d.max
                     else:
                         tlo, thi = c * d.max, c * d.min
-                    if tlo == term_lo[i] and thi == term_hi[i]:
-                        continue
-                else:
-                    tlo = c * d.min if c > 0 else c * d.max
-                    if tlo == term_lo[i]:
-                        continue
-                if not moved:
-                    moved = True
-                    term_lo = term_lo[:]
-                    if is_eq:
-                        term_hi = term_hi[:]
-                lo += tlo - term_lo[i]
-                term_lo[i] = tlo
-                if is_eq:
                     hi += thi - term_hi[i]
                     term_hi[i] = thi
-            if not moved:
-                return []
+                else:
+                    tlo = c * d.min if c > 0 else c * d.max
+                lo += tlo - term_lo[i]
+                term_lo[i] = tlo
         changed: list[int] = []
         while True:
             slack = b - lo

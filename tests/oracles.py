@@ -8,6 +8,7 @@ at the end change domains only through ``DomainStore``'s shrink operations,
 first-written engine did, and ``FirstWrittenEngine`` runs it over stateless
 twins that call those loops.  ``wdeg_ratios`` and ``ibs_variable_score``
 are the heuristics' first-written scores, recomputed from scratch.
+``advice_checked`` wraps the rows' filter to check the advice it trusts.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from fdsearch import (
 )
 from fdsearch.domain import SHRUNK, UNCHANGED, WOULD_EMPTY, ChangeOutcome
 from fdsearch.engine import DECISION, PropagationResult
+from fdsearch.propagators import _Linear
 
 Domains = list[set[int]]
 
@@ -427,6 +429,15 @@ def remove_values(store: DomainStore, x: int, values) -> ChangeOutcome:
     return SHRUNK
 
 
+def first_entries(store: DomainStore, start: int) -> list[tuple[int, int, int, int, int]]:
+    """Per variable, the first trail entry logged since index ``start``
+    (its domain fields before its first shrink there), in logged order."""
+    first: dict[int, tuple[int, int, int, int, int]] = {}
+    for e in store.trail.entries[start:]:
+        first.setdefault(e[0], e)
+    return list(first.values())
+
+
 def remove_from_free(store: DomainStore, xs, values, changed: list[int]) -> ChangeOutcome:
     """``remove_values`` on each domain of ``xs`` that holds more than one
     value, in order, appending each it shrinks to ``changed``; stops at the
@@ -557,7 +568,7 @@ class ReferenceEngine:
                 self.watchers[x].append(p.pid)
 
     def propagate(self, store: DomainStore, decision=None, extra=()):
-        start = store.trail.segment()
+        start = len(store.trail.entries)
         queue: deque[int] = deque()
         advice: dict[int, list[int]] = {p.pid: [] for p in self.propagators}
 
@@ -571,7 +582,7 @@ class ReferenceEngine:
                 schedule(q)
 
         def affected() -> list[int]:
-            return [e[0] for e in store.trail.entries[start:]]
+            return list(dict.fromkeys(e[0] for e in store.trail.entries[start:]))
 
         if decision is None:
             store.forget_states()
@@ -607,3 +618,31 @@ class FirstWrittenEngine(ReferenceEngine):
         super().__init__(
             nvars, [_Reference(p) if p.kind in TWIN_REFERENCES else p for p in propagators]
         )
+
+
+def advice_checked(calls: list[int]):
+    """``_Linear.propagate`` checking, on each call with a stored state,
+    that the advice is not empty and that each advised variable has moved
+    a term bound the state keeps (a ``<=`` row's term lower bound, either
+    bound of an equality's term).  The row's update relies on both: it
+    folds the advice in without testing for a move.  ``calls[0]`` counts
+    the checked calls."""
+    propagate = _Linear.propagate
+
+    def checked(self, store, advice):
+        state = store.states.get(self.pid)
+        if state is not None:
+            assert advice, f"{self!r} called with a state and no advice"
+            for x in dict.fromkeys(advice):
+                i = self._pos[x]
+                d = store.domains[x]
+                tlo, thi = sorted((self.coeffs[i] * d.min, self.coeffs[i] * d.max))
+                if self.is_eq:
+                    moved = (tlo, thi) != (state[2][i], state[3][i])
+                else:
+                    moved = tlo != state[1][i]
+                assert moved, f"{self!r} advised of {x}, which moved no term bound it keeps"
+            calls[0] += 1
+        return propagate(self, store, advice)
+
+    return checked

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdsearch import ChangeOutcome, DomainStore, FiniteDomain
 from fdsearch.domain import FIXED, MAX_MOVED, MIN_MOVED, Trail
-from oracles import remove_from_free
+from oracles import first_entries, remove_from_free
 
 
 def store_of(*domains):
@@ -125,7 +125,6 @@ class TestTighten:
 
     def test_remove_bits_stops_at_a_wipeout_and_keeps_the_earlier_shrinks(self):
         s = store_of([1, 2, 3], [1, 2], [1, 3])
-        s.trail.segment()
         changed = []
         assert s.remove_bits([0, 1, 2], 0b11, 1, changed) is ChangeOutcome.WOULD_EMPTY
         assert [tuple(d.values()) for d in s.domains] == [(3,), (1, 2), (1, 3)]
@@ -333,18 +332,20 @@ class TestScopeWideRemoval:
                                             drop, below):
         """``remove_bits`` over a scope against ``remove_value`` called for
         one value and one variable at a time (``oracles.remove_from_free``),
-        after earlier removals in the same trail segment: the same outcome,
-        the same ``changed`` order, the same domain fields, trail entries
-        and marks, the wipeout case included."""
+        after earlier removals at the same level: the same outcome, the
+        same ``changed`` order, the same domain fields and marks, the same
+        first trail entry per variable since the call, and the same
+        domains after a restore, the wipeout case included."""
         n = len(values)
         xs = [x for x in order if x < n][:scope_len]
         stores = [store_of(*values), store_of(*values)]
         for s in stores:
             s.moved[:] = bytes(marks[:n])
-            s.trail.segment()
+            s.push_level()
             for x, v in earlier:
                 s.remove_value(x % n, v)
         ours, theirs = stores
+        starts = [len(s.trail.entries) for s in stores]
         base = min(d.anchor for d in ours.domains) - below
         bits = sum(1 << (v - base) for v in drop if v >= base)
         got, want = [-1], [-1]
@@ -354,18 +355,26 @@ class TestScopeWideRemoval:
         assert [fields(d) + (d.mask,) for d in ours.domains] == [
             fields(d) + (d.mask,) for d in theirs.domains
         ]
-        assert ours.trail.entries == theirs.trail.entries
+        assert first_entries(ours, starts[0]) == first_entries(theirs, starts[1])
         assert ours.moved == theirs.moved
+        for s in stores:
+            s.restore_to(1)
+        assert [d.mask for d in ours.domains] == [d.mask for d in theirs.domains] == [
+            d.mask for d in store_of(*values).domains
+        ]
 
 
 class TestTrailInternals:
-    def test_one_snapshot_per_var_per_level(self):
-        t = Trail(2)
-        t.segment()
+    def test_one_entry_per_shrink(self):
+        t = Trail()
         t.record(0, FiniteDomain(1, 3))
-        t.record(0, FiniteDomain(2, 3))  # second change in the segment: no new entry
+        t.record(0, FiniteDomain(2, 3))  # a second shrink of 0 logs a second entry
         t.record(1, FiniteDomain.from_values([1, 3]))
-        assert t.entries == [(0, 0b111, 3, 1, 3), (1, 0b101, 2, 1, 3)]  # (x, mask, size, min, max)
+        assert t.entries == [  # (x, mask, size, min, max)
+            (0, 0b111, 3, 1, 3), (0, 0b11, 2, 2, 3), (1, 0b101, 2, 1, 3)
+        ]
+        assert t.pop_to(1) == [(0, 0b11, 2, 2, 3), (1, 0b101, 2, 1, 3)]
+        assert t.entries == [(0, 0b111, 3, 1, 3)]
 
     def test_reverse_replay_restores_oldest(self):
         s = store_of([1, 2, 3, 4])

@@ -27,9 +27,11 @@ from fdsearch import (
     probe_activities,
     solve,
 )
+from fdsearch.propagators import _Linear
 
 from oracles import (
     FirstWrittenEngine,
+    advice_checked,
     generate_and_test,
     holds,
     random_csp,
@@ -572,6 +574,18 @@ class TestWholeSolveDifferential:
             reference = tree(solve(m, **kwargs))
         assert shipped == reference
         assert shipped_log == reference_log
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rows_are_advised_of_moved_terms_only(self, data):
+        """Over the same draws, every row call with a stored state gets
+        advice, and each advised variable moved a term bound the state
+        keeps (``oracles.advice_checked``): the row's update folds the
+        advice in without testing for a move."""
+        m, kwargs = drawn_solve(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Linear, "propagate", advice_checked([0]))
+            solve(m, **kwargs)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
