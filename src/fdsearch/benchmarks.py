@@ -203,6 +203,8 @@ def check_knapsack_csp(inst: KnapsackInstance, values: Sequence[int]) -> bool:
 def check_knapsack_cop(
     inst: KnapsackInstance, values: Sequence[int], objective: int
 ) -> bool:
+    if len(values) < inst.n_items:
+        return False
     xs = values[: inst.n_items]
     if any(v not in (0, 1) for v in xs):
         return False

@@ -1,8 +1,9 @@
 """Propagators: contracting, sound filters over a DomainStore.
 
-``propagate(store, advice)`` returns the list of variables it shrank, or
-None on failure (a wipeout); the store is left untouched by the op that
-would have emptied a domain, so the caller's trail stays consistent.
+``propagate(store, advice)`` returns the list of variables it shrank (a
+variable may appear more than once), or None on failure (a wipeout); the
+store is left untouched by the op that would have emptied a domain, so
+the caller's trail stays consistent.
 
 ``advice`` lists the scope variables on which an event the propagator
 reads occurred since its previous call, other than by its own changes (a
@@ -17,7 +18,8 @@ reads both bounds unless it says otherwise.  There are three filters:
 ignores the advice.  The first two keep a summary of their scope in
 ``store.states[pid]`` between calls and bring it up to date from the
 advised variables alone; with no state yet they scan the scope and build
-one.  A state is replaced by assignment, never mutated in place, because
+one, a row by running the fold it runs over the advice over its whole
+scope.  A state is replaced by assignment, never mutated in place, because
 the store's per-level copies share it.  A stored state is at its own
 fixpoint, so the engine does not call a propagator with a state and no
 advice.  That is exact because every propagator that keeps a state
@@ -90,14 +92,27 @@ class _Linear(Propagator):
     def propagate(self, store: DomainStore, advice: list[int]) -> Optional[list[int]]:
         """Tighten every term against the others' bounds until nothing moves.
 
-        Each pass is Jacobi: all its tightenings use the ``lo``/``hi`` sums
-        of the term bounds at the start of the pass.  A term whose span
-        ``term_hi - term_lo`` is at most the slack of a side cannot be cut
-        by that side, so its store call is skipped: for c > 0 the <= side
-        asks ``max <= (b - lo + c*min) // c``, which holds whenever
-        ``c*max - c*min <= b - lo``, and likewise for c < 0 and for the >=
-        side of an equality with slack ``hi - b``.  Such a call would return
-        UNCHANGED, so skipping it leaves the store, the trail and the
+        The state is ``(lo, hi, term_lo, term_hi, heavy)``: the sums ``lo``
+        and ``hi`` of the term bounds ``term_lo`` and ``term_hi``, kept up to
+        date incrementally (Harvey & Schimpf, TRICS 2002), and ``heavy``,
+        which holds ``(span, i, x, |c|)`` for the terms with a positive span
+        ``|c| * (max - min)`` when the state was built, widest first.  A <=
+        row prunes by ``lo`` alone, as no span exceeds ``hi - lo``, so it
+        keeps ``hi = 0`` and ``term_hi = None`` and reads neither.  One loop
+        folds term bounds into the sums: with a state it runs over the
+        advice, on copies of the state's lists; a scan runs it over the
+        whole scope from zeroed sums and lists.  The engine advises a row
+        only of bound events it reads, so each advised term has moved; a
+        repeat in the advice adds 0.
+
+        Each pass is Jacobi: all its tightenings use the slacks ``b - lo``
+        and ``hi - b`` from the start of the pass, and each term's own bound
+        from before its cut.  A term whose span is at most the slack of a
+        side cannot be cut by that side, so its store call is skipped: for
+        c > 0 the <= side asks ``max <= (b - lo + c*min) // c``, which holds
+        whenever ``c*max - c*min <= b - lo``, and likewise for c < 0 and for
+        the >= side of an equality with slack ``hi - b``.  Such a call would
+        return UNCHANGED, so skipping it leaves the store, the trail and the
         returned list as they were.  Conversely, a span above the slack of a
         side makes that side cut the bound, so every term a pass visits
         moves.  The <= cut never empties a domain: the slack is >= 0 there,
@@ -105,20 +120,12 @@ class _Linear(Propagator):
         bound is on the domain's side of the other bound.  Only the >= side
         of an equality can fail.  A <= cut leaves term lower bounds, ``lo``
         and the slack as they were, so a <= row stops after one pass; an
-        equality recomputes the visited terms and stops at a pass that
-        visits none.
-
-        A <= row prunes by ``lo`` alone, as no span exceeds ``hi - lo``, so
-        its state is ``(lo, term_lo, heavy)``; an equality's is ``(lo, hi,
-        term_lo, term_hi, heavy)``.  ``heavy`` holds ``(span, i, x, |c|)``
-        for the terms with a non-zero span when the state was built, widest
-        first.  Spans only shrink, so a pass walks ``heavy`` only down to
-        the first span at most the smaller slack, and visits, in scope
-        order, the terms met on the way whose span, read from the domain,
-        exceeds it.  With a state, the call folds each advised term's bounds
-        into copies of the state's lists (a repeat in the advice adds 0);
-        the engine advises a row only of bound events it reads, so each
-        advised term has moved.
+        equality re-sums each visited term just after its cuts and stops at
+        a pass that visits none.  Spans only shrink, so a pass walks
+        ``heavy`` only down to the first span at most the smaller slack, and
+        visits, in scope order, the terms met on the way whose span, read
+        from the domain, exceeds it.  The returned list names a term once
+        per pass that visits it.
         """
         domains = store.domains
         cs = self.coeffs
@@ -127,47 +134,38 @@ class _Linear(Propagator):
         is_eq = self.is_eq
         state = store.states.get(self.pid)
         if state is None:
-            term_lo: list[int] = []
-            term_hi: list[int] = []
-            for c, x in zip(cs, xs):
+            lo = hi = 0
+            term_lo = [0] * len(xs)
+            term_hi = [0] * len(xs) if is_eq else None
+            heavy = []
+            for i, (c, x) in enumerate(zip(cs, xs)):
                 d = domains[x]
-                if c > 0:
-                    term_lo.append(c * d.min)
-                    term_hi.append(c * d.max)
-                else:
-                    term_lo.append(c * d.max)
-                    term_hi.append(c * d.min)
-            lo = sum(term_lo)
-            hi = sum(term_hi)
-            heavy = sorted(
-                ((term_hi[i] - term_lo[i], i, xs[i], abs(cs[i])) for i in range(len(xs))
-                 if term_hi[i] > term_lo[i]),
-                reverse=True,
-            )
+                span = abs(c) * (d.max - d.min)
+                if span > 0:
+                    heavy.append((span, i, x, abs(c)))
+            heavy.sort(reverse=True)
+            advice = xs
         else:
-            if is_eq:
-                lo, hi, term_lo, term_hi, heavy = state
-            else:
-                lo, term_lo, heavy = state
+            lo, hi, term_lo, term_hi, heavy = state
             term_lo = term_lo[:]  # the stored state shares the old lists
             if is_eq:
                 term_hi = term_hi[:]
-            pos = self._pos
-            for x in advice:
-                i = pos[x]
-                c = cs[i]
-                d = domains[x]
-                if is_eq:
-                    if c > 0:
-                        tlo, thi = c * d.min, c * d.max
-                    else:
-                        tlo, thi = c * d.max, c * d.min
-                    hi += thi - term_hi[i]
-                    term_hi[i] = thi
+        pos = self._pos
+        for x in advice:
+            i = pos[x]
+            c = cs[i]
+            d = domains[x]
+            if is_eq:
+                if c > 0:
+                    tlo, thi = c * d.min, c * d.max
                 else:
-                    tlo = c * d.min if c > 0 else c * d.max
-                lo += tlo - term_lo[i]
-                term_lo[i] = tlo
+                    tlo, thi = c * d.max, c * d.min
+                hi += thi - term_hi[i]
+                term_hi[i] = thi
+            else:
+                tlo = c * d.min if c > 0 else c * d.max
+            lo += tlo - term_lo[i]
+            term_lo[i] = tlo
         changed: list[int] = []
         while True:
             slack = b - lo
@@ -199,33 +197,27 @@ class _Linear(Propagator):
                         store.tighten_max(x, ub_num // c)
                     else:
                         store.tighten_min(x, -(-ub_num // c))
-                if is_eq and span > surplus:
-                    lb_num = term_lo[i] + span - surplus  # c*x >= lb_num
+                if is_eq:
+                    if span > surplus:
+                        lb_num = term_lo[i] + span - surplus  # c*x >= lb_num
+                        if c > 0:
+                            out = store.tighten_min(x, -(-lb_num // c))
+                        else:
+                            out = store.tighten_max(x, lb_num // c)
+                        if out is WOULD_EMPTY:
+                            return None
                     if c > 0:
-                        out = store.tighten_min(x, -(-lb_num // c))
+                        tlo, thi = c * d.min, c * d.max
                     else:
-                        out = store.tighten_max(x, lb_num // c)
-                    if out is WOULD_EMPTY:
-                        return None
+                        tlo, thi = c * d.max, c * d.min
+                    lo += tlo - term_lo[i]
+                    term_lo[i] = tlo
+                    hi += thi - term_hi[i]
+                    term_hi[i] = thi
                 changed.append(x)
             if not is_eq:
                 break
-            for i in wide:
-                c = cs[i]
-                d = domains[xs[i]]
-                if c > 0:
-                    tlo, thi = c * d.min, c * d.max
-                else:
-                    tlo, thi = c * d.max, c * d.min
-                lo += tlo - term_lo[i]
-                term_lo[i] = tlo
-                hi += thi - term_hi[i]
-                term_hi[i] = thi
-        if is_eq and len(changed) > 1:  # only a later pass revisits a term
-            changed = list(dict.fromkeys(changed))
-        store.states[self.pid] = (
-            (lo, hi, term_lo, term_hi, heavy) if is_eq else (lo, term_lo, heavy)
-        )
+        store.states[self.pid] = (lo, hi, term_lo, term_hi, heavy)
         return changed
 
 

@@ -8,7 +8,9 @@ at the end change domains only through ``DomainStore``'s shrink operations,
 first-written engine did, and ``FirstWrittenEngine`` runs it over stateless
 twins that call those loops.  ``wdeg_ratios`` and ``ibs_variable_score``
 are the heuristics' first-written scores, recomputed from scratch.
-``advice_checked`` wraps the rows' filter to check the advice it trusts.
+``advice_checked`` wraps the rows' filter to check the advice it trusts,
+and ``linear_state_current`` checks a row's stored state against the
+domains.
 """
 
 from __future__ import annotations
@@ -620,27 +622,47 @@ class FirstWrittenEngine(ReferenceEngine):
         )
 
 
+def linear_state_current(prop, store: DomainStore, skip=()) -> None:
+    """Asserts that the stored state of the row ``prop`` is current: ``lo``
+    is the sum of ``term_lo`` (and for an equality ``hi`` that of
+    ``term_hi``), and the term bounds it keeps of each scope variable not
+    in ``skip`` are the ones read from its domain (a ``<=`` row keeps the
+    lower bounds alone)."""
+    lo, hi, term_lo, term_hi, _ = store.states[prop.pid]
+    assert lo == sum(term_lo), f"{prop!r}: lo {lo} != sum(term_lo) {sum(term_lo)}"
+    if prop.is_eq:
+        assert hi == sum(term_hi), f"{prop!r}: hi {hi} != sum(term_hi) {sum(term_hi)}"
+    for i, (c, x) in enumerate(zip(prop.coeffs, prop.scope)):
+        if x in skip:
+            continue
+        d = store.domains[x]
+        tlo, thi = sorted((c * d.min, c * d.max))
+        assert term_lo[i] == tlo, f"{prop!r}: stale lower bound of term {i}"
+        if prop.is_eq:
+            assert term_hi[i] == thi, f"{prop!r}: stale upper bound of term {i}"
+
+
 def advice_checked(calls: list[int]):
     """``_Linear.propagate`` checking, on each call with a stored state,
-    that the advice is not empty and that each advised variable has moved
-    a term bound the state keeps (a ``<=`` row's term lower bound, either
-    bound of an equality's term).  The row's update relies on both: it
-    folds the advice in without testing for a move.  ``calls[0]`` counts
-    the checked calls."""
+    that the advice is not empty, that each advised variable has moved a
+    term bound the state keeps (a ``<=`` row's term lower bound, either
+    bound of an equality's term) and that the state is current for every
+    other term (``linear_state_current``).  The row's update relies on all
+    three: it folds the advice in without testing for a move, and reads
+    the other terms from the state.  ``calls[0]`` counts the checked
+    calls."""
     propagate = _Linear.propagate
 
     def checked(self, store, advice):
         state = store.states.get(self.pid)
         if state is not None:
             assert advice, f"{self!r} called with a state and no advice"
+            linear_state_current(self, store, skip=advice)
             for x in dict.fromkeys(advice):
                 i = self._pos[x]
                 d = store.domains[x]
                 tlo, thi = sorted((self.coeffs[i] * d.min, self.coeffs[i] * d.max))
-                if self.is_eq:
-                    moved = (tlo, thi) != (state[2][i], state[3][i])
-                else:
-                    moved = tlo != state[1][i]
+                moved = tlo != state[2][i] or self.is_eq and thi != state[3][i]
                 assert moved, f"{self!r} advised of {x}, which moved no term bound it keeps"
             calls[0] += 1
         return propagate(self, store, advice)

@@ -181,6 +181,16 @@ class TestKnapsackCop:
         assert check_knapsack_cop(TOY, [0, 1, 0], 6)
         assert not check_knapsack_cop(TOY, [0, 2, 0], 12)
 
+    def test_checkers_reject_a_short_assignment(self):
+        """Each prefix below is feasible and earns the objective it is
+        checked against, so only the length test rejects it."""
+        inst = load_bundled_instance("1-2")
+        assert not check_knapsack_cop(inst, [1], inst.profits[0])
+        assert not check_knapsack_cop(TOY, [1], 10)
+        nothing = KnapsackInstance(2, 1, [3, 4], [[5, 5]], [4], 0, "nothing")
+        assert check_knapsack_csp(nothing, [0, 0])
+        assert not check_knapsack_csp(nothing, [])
+
     def test_branching_is_restricted_to_items(self):
         model = build_knapsack_cop(TOY)
         assert model.branch_vars == [0, 1, 2]
